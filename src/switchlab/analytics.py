@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .scheduling import perm_table
 from .simulator import RunStats
 from .traffic import ArrivalModel, MomentVector
 from .wlinalg import CostMatrix, ProjectionBasis, solve_dense
@@ -288,7 +289,7 @@ def universal_lower_bound(cost: CostMatrix, model: ArrivalModel) -> LowerBoundRe
         raise ValueError(
             f"n={n} needs ({math.factorial(n)})! priority orderings; n <= 3 is supported"
         )
-    scheds = list(itertools.permutations(range(n)))
+    scheds = list(perm_table(n)[0])
     schedule_queues = [[(i, p[i]) for i in range(n)] for p in scheds]
     mom_eps = model.moments()
     mom_lim = model.limit_moments()

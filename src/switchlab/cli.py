@@ -31,7 +31,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +137,15 @@ class ExperimentConfig:
             raise ConfigError("replications must be >= 1")
         if self.slots < self.batch_count:
             raise ConfigError("slots must be >= batch_count")
+        if self.sigma2 is not None and self.sigma2.shape != (self.n, self.n):
+            raise ConfigError(f"sigma2 must be {self.n}x{self.n}")
+        # Build every object a task builds, so that a bad value fails here and
+        # not inside a worker process.
+        for ei in range(len(self.epsilon_grid)):
+            try:
+                self.run_config(ei)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
 
     # -- construction / serialization --
 
@@ -209,6 +218,22 @@ class ExperimentConfig:
     def slots_for(self, epsilon: float) -> int:
         return self.slots_by_epsilon.get(epsilon, self.slots)
 
+    def run_config(self, eps_index: int, record_slots: bool = False) -> simulator.RunConfig:
+        """Replication 0 at grid point ``eps_index`` (stream key (eps_index, 0))."""
+        eps = self.epsilon_grid[eps_index]
+        return simulator.RunConfig(
+            c=self.cost_matrix(),
+            model=self.model(eps),
+            matcher=self.matcher(),
+            measured=self.slots_for(eps),
+            warmup=self.warmup,
+            batch_count=self.batch_count,
+            ssc_stride=self.ssc_sampling_stride,
+            record_slots=record_slots,
+            seed=self.seed,
+            stream_key=(eps_index, 0),
+        )
+
     def sigma2_limit(self) -> np.ndarray:
         """Variance vector entering the heavy-traffic constant (load -> 1)."""
         if self.sigma2 is not None:
@@ -235,24 +260,6 @@ def load_config(path: str) -> ExperimentConfig:
 # -------- sweep orchestration --------
 
 
-def _run_task(payload: tuple) -> simulator.RunStats:
-    doc, eps_index, rep = payload
-    cfg = ExperimentConfig.from_dict(doc)
-    eps = cfg.epsilon_grid[eps_index]
-    rc = simulator.RunConfig(
-        c=cfg.cost_matrix(),
-        model=cfg.model(eps),
-        matcher=cfg.matcher(),
-        measured=cfg.slots_for(eps),
-        warmup=cfg.warmup,
-        batch_count=cfg.batch_count,
-        ssc_stride=cfg.ssc_sampling_stride,
-        seed=cfg.seed,
-        stream_key=(eps_index, rep),
-    )
-    return simulator.run(rc)
-
-
 def resolve_jobs(jobs: int | None) -> int:
     if jobs is not None and jobs >= 1:
         return jobs
@@ -269,20 +276,20 @@ def resolve_jobs(jobs: int | None) -> int:
 
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> dict[float, list[simulator.RunStats]]:
     """All (epsilon, replication) runs, reduced in deterministic task order."""
-    doc = cfg.to_dict()
+    per_eps = [cfg.run_config(ei) for ei in range(len(cfg.epsilon_grid))]
     tasks = [
-        (doc, ei, rep)
-        for ei in range(len(cfg.epsilon_grid))
+        replace(rc, stream_key=(ei, rep))
+        for ei, rc in enumerate(per_eps)
         for rep in range(cfg.replications)
     ]
     if jobs <= 1 or len(tasks) == 1:
-        results = [_run_task(t) for t in tasks]
+        results = [simulator.run(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(_run_task, tasks))
+            results = list(pool.map(simulator.run, tasks))
     by_eps: dict[float, list[simulator.RunStats]] = {e: [] for e in cfg.epsilon_grid}
-    for (_, ei, _), st in zip(tasks, results):
-        by_eps[cfg.epsilon_grid[ei]].append(st)
+    for t, st in zip(tasks, results):
+        by_eps[t.model.epsilon].append(st)
     return by_eps
 
 
@@ -461,19 +468,7 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     eps = cfg.epsilon_grid[0]
-    rc = simulator.RunConfig(
-        c=cfg.cost_matrix(),
-        model=cfg.model(eps),
-        matcher=cfg.matcher(),
-        measured=cfg.slots_for(eps),
-        warmup=cfg.warmup,
-        batch_count=cfg.batch_count,
-        ssc_stride=cfg.ssc_sampling_stride,
-        seed=cfg.seed,
-        stream_key=(0, 0),
-        record_slots=args.trace is not None,
-    )
-    stats = simulator.run(rc)
+    stats = simulator.run(cfg.run_config(0, record_slots=args.trace is not None))
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     doc = {

@@ -2,9 +2,10 @@
 
 A schedule is a permutation: queue (i, perm[i]) is served at every input i.
 Each slot the scheduler picks a permutation maximizing sum_i c[i, perm[i]] *
-Q[i, perm[i]].  For small n the argmax set is enumerated and ties are broken
-uniformly at random; above the enumeration threshold a Hungarian solver with
-a randomizing pre-shuffle is used instead (an arbitrary maximizer, so tie
+Q[i, perm[i]].  For small n the argmax set is enumerated (``argmax_ties``, the
+kernel ``simulator.run`` shares) and ties are broken uniformly at random
+(``break_tie``); above the enumeration threshold a Hungarian solver with a
+randomizing pre-shuffle is used instead (an arbitrary maximizer, so tie
 breaking is only approximate there).
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -26,6 +28,9 @@ __all__ = [
     "enumerate_argmax",
     "hungarian_schedule",
     "all_schedules",
+    "perm_table",
+    "argmax_ties",
+    "break_tie",
 ]
 
 MODES = ("exact-enumeration", "hungarian", "auto")
@@ -60,7 +65,6 @@ class Schedule:
 class MatcherConfig:
     mode: str = "auto"
     exact_threshold: int = 7
-    stream_name: str = "tiebreak"
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -74,9 +78,43 @@ class MatcherConfig:
         return self.mode
 
 
+@lru_cache(maxsize=None)
+def perm_table(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """(perms, pidx): all n! permutations in lexicographic order, and for
+    each one the flat queue indices i * n + perm[i] it serves, in row order."""
+    perms = tuple(itertools.permutations(range(n)))
+    return perms, tuple(tuple(i * n + p[i] for i in range(n)) for p in perms)
+
+
+def argmax_ties(q, c_flat, pidx) -> list[int]:
+    """Positions in ``pidx`` of every maximum-weight permutation, for flat
+    queue lengths ``q`` and costs ``c_flat``.  Weights add up in the fixed row
+    order of ``schedule_weight``, so ties are exact float equalities."""
+    best = float("-inf")
+    ties: list[int] = []
+    for p, idxs in enumerate(pidx):
+        w = 0.0
+        for k in idxs:
+            w += c_flat[k] * q[k]
+        if w > best:
+            best = w
+            ties = [p]
+        elif w == best:
+            ties.append(p)
+    return ties
+
+
+def break_tie(ties: list, uniform):
+    """The tie-break rule: a unique maximiser is taken as is; otherwise one
+    draw u = uniform() from the tiebreak stream picks ties[int(u * len(ties))]."""
+    if len(ties) == 1:
+        return ties[0]
+    return ties[int(uniform() * len(ties))]
+
+
 def all_schedules(n: int) -> list[Schedule]:
     """All n! maximal schedules, in lexicographic order."""
-    return [Schedule(p) for p in itertools.permutations(range(n))]
+    return [Schedule(p) for p in perm_table(n)[0]]
 
 
 def _check_dims(Q: np.ndarray, cost: CostMatrix) -> np.ndarray:
@@ -90,7 +128,7 @@ def schedule_weight(s: Schedule, Q, cost: CostMatrix) -> float:
     """sum_i c[i, perm[i]] * Q[i, perm[i]], accumulated in fixed row order.
 
     The fixed accumulation order makes identical multisets of terms compare
-    exactly equal across schedules, which enumerate_argmax relies on.
+    exactly equal across schedules, which argmax_ties relies on.
     """
     Q = _check_dims(Q, cost)
     if s.n != cost.n:
@@ -102,25 +140,13 @@ def schedule_weight(s: Schedule, Q, cost: CostMatrix) -> float:
     return w
 
 
-def _weights_by_perm(Q: np.ndarray, cost: CostMatrix) -> list[tuple[tuple[int, ...], float]]:
-    c = cost.c
-    out = []
-    for perm in itertools.permutations(range(cost.n)):
-        w = 0.0
-        for i, j in enumerate(perm):
-            w += c[i, j] * Q[i, j]
-        out.append((perm, w))
-    return out
-
-
 def enumerate_argmax(Q, cost: CostMatrix, exact_threshold: int = 7) -> list[Schedule]:
     """All schedules attaining the maximum weight (exact float equality)."""
     Q = _check_dims(Q, cost)
     if cost.n > exact_threshold:
         raise ValueError(f"n={cost.n} above enumeration threshold {exact_threshold}")
-    weighted = _weights_by_perm(Q, cost)
-    best = max(w for _, w in weighted)
-    return [Schedule(p) for p, w in weighted if w == best]
+    perms, pidx = perm_table(cost.n)
+    return [Schedule(perms[p]) for p in argmax_ties(Q.ravel().tolist(), cost.flat.tolist(), pidx)]
 
 
 def hungarian_schedule(Q, cost: CostMatrix, rng: np.random.Generator) -> Schedule:
@@ -145,12 +171,7 @@ def max_weight_schedule(
     Q, cost: CostMatrix, cfg: MatcherConfig, rng: np.random.Generator
 ) -> Schedule:
     """Pick a maximum-weight schedule; exact mode samples uniformly from the
-    full argmax set."""
-    Q = _check_dims(Q, cost)
-    mode = cfg.resolved_mode(cost.n)
-    if mode == "exact-enumeration":
-        ties = enumerate_argmax(Q, cost, exact_threshold=max(cfg.exact_threshold, cost.n))
-        if len(ties) == 1:
-            return ties[0]
-        return ties[int(rng.integers(len(ties)))]
+    full argmax set, drawing one ``rng.random()`` per tie (``break_tie``)."""
+    if cfg.resolved_mode(cost.n) == "exact-enumeration":
+        return break_tie(enumerate_argmax(Q, cost, exact_threshold=cost.n), rng.random)
     return hungarian_schedule(Q, cost, rng)

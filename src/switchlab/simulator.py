@@ -9,18 +9,19 @@ and
 Arrivals of a slot are servable within the slot, which is exactly what makes
 <Q(t+1), U(t)> vanish identically.  ``run`` drives a long replication with
 batch-means statistics and periodic cone-projection sampling; ``step`` is the
-single-slot reference used by tests and trace tooling.
+single-slot reference.  Both use the matcher kernel of ``scheduling`` and
+``_serve``, so ``step`` replays a recorded ``run`` slot for slot.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scheduling import MatcherConfig, Schedule, hungarian_schedule, max_weight_schedule
+from .scheduling import MatcherConfig, Schedule, argmax_ties, break_tie, perm_table
+from .scheduling import hungarian_schedule, max_weight_schedule
 from .traffic import ArrivalModel
 from .wlinalg import CostMatrix, project_cone
 
@@ -141,17 +142,34 @@ class RunStats:
     records: list[SlotRecord] | None = None
 
 
-def _apply_slot(Q: np.ndarray, A: np.ndarray, s: Schedule):
-    """One dynamics update in place; returns the unused-service matrix."""
-    n = Q.shape[0]
-    U = np.zeros((n, n), dtype=np.int64)
-    Q += A
-    for i, j in enumerate(s.perm):
-        if Q[i, j] > 0:
-            Q[i, j] -= 1
+def _serve(q: list[int], a: list[int], idxs) -> list[int]:
+    """One slot in place on the flat queue list ``q``: arrivals ``a`` join (and
+    are servable at once), then each queue in ``idxs`` sends one packet or, if
+    empty, gets unused service.  Returns the flat indices of unused service."""
+    for k, x in enumerate(a):
+        if x:
+            q[k] += x
+    unused = []
+    for k in idxs:
+        if q[k] > 0:
+            q[k] -= 1
         else:
-            U[i, j] = 1
-    return U
+            unused.append(k)
+    return unused
+
+
+def _indicator(idxs, n: int) -> np.ndarray:
+    """(n, n) 0/1 matrix with ones at the flat indices ``idxs``."""
+    m = np.zeros(n * n, dtype=np.int64)
+    m[list(idxs)] = 1
+    return m.reshape(n, n)
+
+
+def _uniforms(rng: np.random.Generator):
+    """The tiebreak stream in blocks: rng.random(N) yields the same values as
+    N calls to rng.random(), the draws ``max_weight_schedule`` takes."""
+    while True:
+        yield from rng.random(_BLOCK).tolist()
 
 
 def step(
@@ -167,15 +185,17 @@ def step(
     """Advance one slot.  ``schedule``/``arrivals`` override sampling for
     controlled tests."""
     Q = state.Q
+    n = Q.shape[0]
     s = schedule if schedule is not None else max_weight_schedule(Q, cost, matcher, tiebreak_rng)
     A = np.asarray(arrivals, dtype=np.int64) if arrivals is not None else model.sample(arrival_rng)
-    Qn = Q.copy()
-    U = _apply_slot(Qn, A, s)
+    q = Q.ravel().tolist()
+    unused = _serve(q, A.ravel().tolist(), [i * n + j for i, j in enumerate(s.perm)])
+    Qn = np.array(q, dtype=np.int64).reshape(n, n)
     rec = SlotRecord(
         t=state.t,
         A=A,
         S=s.as_matrix(),
-        U=U,
+        U=_indicator(unused, n),
         weighted_qsum=float((cost.c * Qn).sum()),
     )
     return QueueState(Q=Qn, t=state.t + 1), rec
@@ -229,11 +249,8 @@ def run(cfg: RunConfig) -> RunStats:
 
     use_exact = mode == "exact-enumeration"
     if use_exact:
-        perms = list(itertools.permutations(range(n)))
-        pidx = [[i * n + p[i] for i in range(n)] for p in perms]
-        nperm = len(perms)
-    tb: list[float] = []
-    tbi = 0
+        _, pidx = perm_table(n)
+    uniform = _uniforms(tiebreak_rng).__next__
 
     w_acc = _BatchAcc(batch)
     u_acc = _BatchAcc(batch)
@@ -250,7 +267,6 @@ def run(cfg: RunConfig) -> RunStats:
 
     total = warmup + measured
     done = 0
-    rec_on = records is not None
     while done < total:
         blk_n = min(_BLOCK, total - done)
         ablk_np = model.sample_block(arrival_rng, blk_n)
@@ -269,57 +285,26 @@ def run(cfg: RunConfig) -> RunStats:
 
             # -- schedule from Q(t)
             if use_exact:
-                best = -1.0
-                ties: list[int] = []
-                for p in range(nperm):
-                    w = 0.0
-                    for k in pidx[p]:
-                        w += c_flat[k] * Q[k]
-                    if w > best:
-                        best = w
-                        ties = [p]
-                    elif w == best:
-                        ties.append(p)
-                if len(ties) == 1:
-                    sp = ties[0]
-                else:
-                    if tbi >= len(tb):
-                        tb = tiebreak_rng.random(_BLOCK).tolist()
-                        tbi = 0
-                    sp = ties[int(tb[tbi] * len(ties))]
-                    tbi += 1
-                perm = perms[sp]
-                idxs = pidx[sp]
+                idxs = pidx[break_tie(argmax_ties(Q, c_flat, pidx), uniform)]
             else:
                 qmat = np.array(Q, dtype=np.int64).reshape(n, n)
                 perm = hungarian_schedule(qmat, cost, tiebreak_rng).perm
-                idxs = [i * n + perm[i] for i in range(n)]
+                idxs = tuple(i * n + perm[i] for i in range(n))
 
-            # -- arrivals, unused service, update
-            for k in range(n2):
-                a = A[k]
-                if a:
-                    Q[k] += a
-            u_slot = 0
-            unused_k: list[int] = []
-            for k in idxs:
-                if Q[k] > 0:
-                    Q[k] -= 1
-                else:
-                    u_slot += 1
-                    if in_measured:
-                        unused_total[k] += 1
-                    if rec_on:
-                        unused_k.append(k)
-                    qu_violation = max(qu_violation, abs(c_flat[k] * Q[k]))
+            # -- arrivals, unused service, update; <Q(t+1), U(t)> on the result
+            unused = _serve(Q, A, idxs)
+            for k in unused:
+                qu_violation = max(qu_violation, abs(c_flat[k] * Q[k]))
 
             if in_measured:
+                for k in unused:
+                    unused_total[k] += 1
                 wsum = 0.0
                 for k in range(n2):
                     wsum += c_flat[k] * Q[k]
                 w_acc.add(wsum)
-                u_acc.add(float(u_slot))
-                sched_count[perm] = sched_count.get(perm, 0) + 1
+                u_acc.add(float(len(unused)))
+                sched_count[idxs] = sched_count.get(idxs, 0) + 1
 
             if sample_now:
                 proj_b = project_cone(q_before, cost, w0=warm_w, wt0=warm_wt)
@@ -332,19 +317,13 @@ def run(cfg: RunConfig) -> RunStats:
                 par_samples.append(math.sqrt(max(0.0, float((cost.c * proj_b.parallel**2).sum()))))
                 drift_samples.append(w_after - w_before)
 
-            if rec_on:
-                Smat = np.zeros(n2, dtype=np.int64)
-                Umat = np.zeros(n2, dtype=np.int64)
-                for k in idxs:
-                    Smat[k] = 1
-                for k in unused_k:
-                    Umat[k] = 1
+            if records is not None:
                 records.append(
                     SlotRecord(
                         t=done,
                         A=np.array(A, dtype=np.int64).reshape(n, n),
-                        S=Smat.reshape(n, n),
-                        U=Umat.reshape(n, n),
+                        S=_indicator(idxs, n),
+                        U=_indicator(unused, n),
                         weighted_qsum=float(sum(c_flat[k] * Q[k] for k in range(n2))),
                         perp_norm=perp_samples[-1] if sample_now else None,
                         par_norm=par_samples[-1] if sample_now else None,
@@ -356,9 +335,8 @@ def run(cfg: RunConfig) -> RunStats:
 
     q_end = np.array(Q, dtype=np.int64)
     s_total = np.zeros(n2, dtype=np.int64)
-    for perm, cnt in sched_count.items():
-        for i, j in enumerate(perm):
-            s_total[i * n + j] += cnt
+    for idxs, cnt in sched_count.items():
+        s_total[list(idxs)] += cnt
     conservation_ok = bool(
         np.array_equal(q_end - q_start, arrivals_total - s_total + unused_total)
     )

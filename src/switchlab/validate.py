@@ -11,7 +11,7 @@ to prove the suite actually detects faults.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -182,24 +182,41 @@ def _check_simulator(rng, matcher_fn) -> tuple[bool, str]:
         ssc_stride=20, record_slots=True,
     )
     stats = simulator.run(cfg)
-    for rec in stats.records:
-        if not ((rec.U >= 0) & (rec.U <= 1)).all() or (rec.U > rec.S).any():
-            return False, "unused-service bounds violated"
     if stats.qu_dot_violation != 0.0:
         return False, "post-update weighted overlap with unused service is nonzero"
     if not stats.conservation_ok:
         return False, "flow conservation violated"
-    stats2 = simulator.run(cfg)
+    stats2 = simulator.run(replace(cfg, record_slots=False))
     if stats2.mean_weighted_qsum != stats.mean_weighted_qsum:
         return False, "same seed produced different statistics"
     if abs(stats.unused_service_rate - 1.0) > 4 * stats.stderr_unused_service:
         return False, f"unused-service rate {stats.unused_service_rate:.4f} far from n*eps=1"
-    # matcher hook exercises the injected scheduler inside a short run
-    q = np.array([[5, 1], [2, 3]])
-    s = matcher_fn(q, cost, scheduling.MatcherConfig(), rng)
-    if scheduling.schedule_weight(s, q, cost) != 8.0:
-        return False, "scheduler failed the desk example"
-    return True, "invariants hold on a 20k-slot run (exact replay, conservation, n*eps)"
+    # replay the recorded run through step, scheduling with the injected matcher
+    # on fresh copies of the run's streams; the replay must match slot for slot
+    arrival_rng, tiebreak_rng = simulator.derive_rngs(cfg.seed, cfg.stream_key)
+    state = simulator.QueueState.empty(cost.n)
+    replay = []
+    for rec in stats.records:
+        s = matcher_fn(state.Q, cost, cfg.matcher, tiebreak_rng)
+        state, got = simulator.step(
+            state, model, cost, cfg.matcher, arrival_rng, tiebreak_rng, schedule=s, arrivals=rec.A
+        )
+        replay.append((got.S, got.U, state.Q))
+    S, U, Q_next = (np.array(x) for x in zip(*replay))
+    rec_S = np.array([rec.S for rec in stats.records])
+    rec_U = np.array([rec.U for rec in stats.records])
+    departed = np.flatnonzero(((S != rec_S) | (U != rec_U)).any(axis=(1, 2)))
+    if departed.size:
+        return False, f"step replay departs from the run at slot {departed[0]}"
+    if ((U < 0) | (U > 1) | (U > S)).any():
+        return False, "unused-service bounds violated"
+    overlap = np.flatnonzero((cost.c * Q_next * U).sum(axis=(1, 2)))
+    if overlap.size:
+        return False, f"<Q(t+1), U(t)> nonzero at slot {overlap[0]}"
+    return True, (
+        f"{len(replay)}-slot run replayed exactly through step; "
+        "<Q(t+1), U(t)> = 0, conservation, n*eps"
+    )
 
 
 def _check_zeta(rng) -> tuple[bool, str]:

@@ -71,6 +71,24 @@ def test_config_validation(tmp_path):
         ExperimentConfig.from_dict(base_doc(tmp_path, replications=0))
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"matcher": {"mode": "greedy"}},
+        {"arrival": {"kind": "weird", "nu": "uniform"}},
+        {"arrival": {"kind": "bernoulli", "nu": [[1.0, 0.0], [0.0, 1.0]]}},
+        {"batch_count": 10},
+        {"sigma2": [[0.25]]},
+    ],
+    ids=["matcher-mode", "arrival-kind", "nu-zero-entry", "batch-count", "sigma2-shape"],
+)
+def test_cmd_sweep_bad_config_exits_before_workers(tmp_path, capsys, change):
+    path = write_cfg(tmp_path, base_doc(tmp_path, **change))
+    assert cli.main(["sweep", "--config", path, "--jobs", "2"]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
 def test_load_config_missing(tmp_path):
     with pytest.raises(cli.ConfigError):
         load_config(str(tmp_path / "absent.json"))
@@ -245,7 +263,8 @@ def test_validate_suite_passes_and_detects_corruption():
         return Schedule(tuple(range(cost.n)))  # always the identity
 
     bad = validate_mod.run_suite(seed=1, matcher=broken_matcher, out=lambda *_: None)
-    assert not all(r.ok for r in bad)
+    failed = {r.name for r in bad if not r.ok}
+    assert "simulator slot invariants" in failed
 
 
 def test_cmd_validate_exit_code(tmp_path, capsys):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from switchlab.scheduling import MatcherConfig, Schedule
+from switchlab.scheduling import MatcherConfig, Schedule, enumerate_argmax
 from switchlab.simulator import (
     QueueState,
     RunConfig,
@@ -147,6 +147,35 @@ def test_run_hungarian_mode_matches_dynamics():
     assert stats.matcher_mode == "hungarian"
     assert stats.conservation_ok
     assert abs(stats.unused_service_rate - 2 * 0.3) < 0.05
+
+
+@pytest.mark.parametrize(
+    "cost, eps, mode",
+    [
+        (CostMatrix([[1.0, 2.0], [2.0, 1.0]]), 0.1, "exact-enumeration"),
+        (CostMatrix([[1.0 + (i + j) % 2 for j in range(4)] for i in range(4)]), 0.1, "exact-enumeration"),
+        (CostMatrix(np.random.default_rng(8).uniform(0.5, 2.0, (8, 8))), 0.2, "hungarian"),
+    ],
+    ids=["n2-exact", "n4-checker-exact", "n8-hungarian"],
+)
+def test_step_replay_matches_run_bit_for_bit(cost, eps, mode):
+    n, exact = cost.n, mode == "exact-enumeration"
+    cfg = RunConfig(
+        c=cost, model=bernoulli(eps, n), matcher=MatcherConfig(mode=mode),
+        measured=3_000, warmup=300, seed=31, stream_key=(2, 1), record_slots=True,
+    )
+    stats = run(cfg)
+    a_rng, t_rng = derive_rngs(cfg.seed, cfg.stream_key)
+    state = QueueState.empty(n)
+    ties = 0
+    for rec in stats.records:
+        if exact:
+            ties += len(enumerate_argmax(state.Q, cost)) > 1
+        state, got = step(state, cfg.model, cost, cfg.matcher, a_rng, t_rng, arrivals=rec.A)
+        assert np.array_equal(got.S, rec.S), f"schedule differs at slot {rec.t}"
+        assert np.array_equal(got.U, rec.U), f"unused service differs at slot {rec.t}"
+        assert cdot(state.Q, got.U, cost) == 0.0
+    assert not exact or ties > 100  # the exact cases exercise the tie-break
 
 
 def test_run_config_validation():
