@@ -34,7 +34,6 @@ from .simulator import (
 from .traffic import ArrivalModel, MomentVector, face_check, uniform_nu
 from .wlinalg import (
     ConeProjection,
-    ConvergenceError,
     CostMatrix,
     ProjectionBasis,
     SingularMatrixError,

@@ -139,13 +139,29 @@ class ExperimentConfig:
             raise ConfigError("slots must be >= batch_count")
         if self.sigma2 is not None and self.sigma2.shape != (self.n, self.n):
             raise ConfigError(f"sigma2 must be {self.n}x{self.n}")
-        # Build every object a task builds, so that a bad value fails here and
-        # not inside a worker process.
-        for ei in range(len(self.epsilon_grid)):
-            try:
-                self.run_config(ei)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+        # Build every object a task builds, once: a bad value fails here and
+        # not inside a worker process, and no arrival model is calibrated twice.
+        try:
+            cost = CostMatrix(self.cost)
+            matcher = MatcherConfig(mode=self.matcher_mode, exact_threshold=self.exact_threshold)
+            self._run_configs = [
+                simulator.RunConfig(
+                    c=cost,
+                    model=ArrivalModel(
+                        kind=self.arrival_kind, nu=self.nu, epsilon=eps, a_max=self.a_max
+                    ),
+                    matcher=matcher,
+                    measured=self.slots_for(eps),
+                    warmup=self.warmup,
+                    batch_count=self.batch_count,
+                    ssc_stride=self.ssc_sampling_stride,
+                    seed=self.seed,
+                    stream_key=(ei, 0),
+                )
+                for ei, eps in enumerate(self.epsilon_grid)
+            ]
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     # -- construction / serialization --
 
@@ -207,39 +223,25 @@ class ExperimentConfig:
     # -- derived objects --
 
     def cost_matrix(self) -> CostMatrix:
-        return CostMatrix(self.cost)
+        return self._run_configs[0].c
 
     def model(self, epsilon: float) -> ArrivalModel:
-        return ArrivalModel(kind=self.arrival_kind, nu=self.nu, epsilon=epsilon, a_max=self.a_max)
-
-    def matcher(self) -> MatcherConfig:
-        return MatcherConfig(mode=self.matcher_mode, exact_threshold=self.exact_threshold)
+        """The arrival model of grid point ``epsilon``."""
+        return self._run_configs[self.epsilon_grid.index(epsilon)].model
 
     def slots_for(self, epsilon: float) -> int:
         return self.slots_by_epsilon.get(epsilon, self.slots)
 
     def run_config(self, eps_index: int, record_slots: bool = False) -> simulator.RunConfig:
-        """Replication 0 at grid point ``eps_index`` (stream key (eps_index, 0))."""
-        eps = self.epsilon_grid[eps_index]
-        return simulator.RunConfig(
-            c=self.cost_matrix(),
-            model=self.model(eps),
-            matcher=self.matcher(),
-            measured=self.slots_for(eps),
-            warmup=self.warmup,
-            batch_count=self.batch_count,
-            ssc_stride=self.ssc_sampling_stride,
-            record_slots=record_slots,
-            seed=self.seed,
-            stream_key=(eps_index, 0),
-        )
+        """Replication 0 at grid point ``eps_index`` (stream key (eps_index, 0)),
+        under the current seed."""
+        return replace(self._run_configs[eps_index], seed=self.seed, record_slots=record_slots)
 
     def sigma2_limit(self) -> np.ndarray:
         """Variance vector entering the heavy-traffic constant (load -> 1)."""
         if self.sigma2 is not None:
             return self.sigma2
-        probe = self.model(self.epsilon_grid[0])
-        return probe.limit_moments().var
+        return self._run_configs[0].model.limit_moments().var
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -276,10 +278,9 @@ def resolve_jobs(jobs: int | None) -> int:
 
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> dict[float, list[simulator.RunStats]]:
     """All (epsilon, replication) runs, reduced in deterministic task order."""
-    per_eps = [cfg.run_config(ei) for ei in range(len(cfg.epsilon_grid))]
     tasks = [
-        replace(rc, stream_key=(ei, rep))
-        for ei, rc in enumerate(per_eps)
+        replace(cfg.run_config(ei), stream_key=(ei, rep))
+        for ei in range(len(cfg.epsilon_grid))
         for rep in range(cfg.replications)
     ]
     if jobs <= 1 or len(tasks) == 1:

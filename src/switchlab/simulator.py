@@ -165,6 +165,11 @@ def _indicator(idxs, n: int) -> np.ndarray:
     return m.reshape(n, n)
 
 
+def _wnorm(v: np.ndarray, c: np.ndarray) -> float:
+    """Weighted norm sqrt(sum_ij c_ij v_ij^2) of an (n, n) grid."""
+    return math.sqrt(float(np.vdot(v, c * v)))
+
+
 def _uniforms(rng: np.random.Generator):
     """The tiebreak stream in blocks: rng.random(N) yields the same values as
     N calls to rng.random(), the draws ``max_weight_schedule`` takes."""
@@ -262,11 +267,12 @@ def run(cfg: RunConfig) -> RunStats:
     perp_samples: list[float] = []
     par_samples: list[float] = []
     drift_samples: list[float] = []
-    warm_w = warm_wt = None
     records: list[SlotRecord] | None = [] if cfg.record_slots else None
 
     total = warmup + measured
     done = 0
+    # SSC is sampled at every ssc_stride-th measured slot; -1 never comes.
+    next_sample = warmup if cfg.collect_ssc else -1
     while done < total:
         blk_n = min(_BLOCK, total - done)
         ablk_np = model.sample_block(arrival_rng, blk_n)
@@ -279,8 +285,9 @@ def run(cfg: RunConfig) -> RunStats:
             in_measured = m_idx >= 0
             if m_idx == 0:
                 q_start = np.array(Q, dtype=np.int64)
-            sample_now = cfg.collect_ssc and in_measured and m_idx % cfg.ssc_stride == 0
+            sample_now = done == next_sample
             if sample_now:
+                next_sample += cfg.ssc_stride
                 q_before = np.array(Q, dtype=float).reshape(n, n)
 
             # -- schedule from Q(t)
@@ -307,15 +314,12 @@ def run(cfg: RunConfig) -> RunStats:
                 sched_count[idxs] = sched_count.get(idxs, 0) + 1
 
             if sample_now:
-                proj_b = project_cone(q_before, cost, w0=warm_w, wt0=warm_wt)
-                q_after = np.array(Q, dtype=float).reshape(n, n)
-                proj_a = project_cone(q_after, cost, w0=proj_b.w, wt0=proj_b.wt)
-                warm_w, warm_wt = proj_a.w, proj_a.wt
-                w_before = math.sqrt(max(0.0, float((cost.c * proj_b.perp**2).sum())))
-                w_after = math.sqrt(max(0.0, float((cost.c * proj_a.perp**2).sum())))
+                proj_b = project_cone(q_before, cost)
+                proj_a = project_cone(np.array(Q, dtype=float).reshape(n, n), cost)
+                w_before = _wnorm(proj_b.perp, cost.c)
                 perp_samples.append(w_before)
-                par_samples.append(math.sqrt(max(0.0, float((cost.c * proj_b.parallel**2).sum()))))
-                drift_samples.append(w_after - w_before)
+                par_samples.append(_wnorm(proj_b.parallel, cost.c))
+                drift_samples.append(_wnorm(proj_a.perp, cost.c) - w_before)
 
             if records is not None:
                 records.append(

@@ -13,23 +13,26 @@ are built on:
   vectors of the form x_ij = (w_i + wt_j) / c_ij with w, wt real, computed
   through a prefactored Gram system.
 * ``project_cone``: nearest point in the cone obtained by restricting
-  w, wt >= 0, computed by clamped block coordinate descent.
+  w, wt >= 0, computed exactly by Lawson-Hanson nonnegative least squares
+  and certified by the KKT conditions of the projection.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg.lapack import dposv
+from scipy.optimize import nnls
 
 __all__ = [
     "CostMatrix",
     "ProjectionBasis",
     "ConeProjection",
     "SingularMatrixError",
-    "ConvergenceError",
     "cdot",
     "cnorm2",
     "cnorm",
@@ -49,10 +52,6 @@ PIVOT_RTOL = 1e-12
 
 class SingularMatrixError(ValueError):
     """Raised when a linear system is singular to working tolerance."""
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when the cone projection fails to converge within its budget."""
 
 
 @dataclass(eq=False)
@@ -87,6 +86,22 @@ class CostMatrix:
     @property
     def cmin(self) -> float:
         return float(self.c.min())
+
+    @cached_property
+    def _cone_system(self) -> tuple[np.ndarray, ...]:
+        """Constants of ``project_cone``: the (n^2, 2n) matrix of the n row
+        then n column generators (whose transpose maps x - p to the duals
+        <x - p, g_k>), the same scaled by sqrt(c) so that the weighted norm
+        becomes the Euclidean one, its Gram matrix, sqrt(c), and row k of
+        ~eye(2n) to drop generator k.  The columns have exactly one linear
+        dependency: both halves sum to 1/c."""
+        n = self.n
+        gens = [row_generator(self, i).ravel() for i in range(n)]
+        gens += [col_generator(self, j).ravel() for j in range(n)]
+        gen = np.array(gens).T
+        sqrt_c = np.sqrt(self.flat)
+        A = sqrt_c[:, None] * gen
+        return gen, A, A.T @ A, sqrt_c, ~np.eye(2 * n, dtype=bool)
 
 
 def _as_grid(x, n: int) -> np.ndarray:
@@ -225,7 +240,8 @@ def project_space(x, basis: ProjectionBasis, cost: CostMatrix):
 
 @dataclass
 class ConeProjection:
-    """Result of projecting onto the nonnegative port-sum cone."""
+    """Result of projecting onto the nonnegative port-sum cone; ``sweeps``
+    is the number of NNLS solves it took."""
 
     parallel: np.ndarray
     perp: np.ndarray
@@ -234,50 +250,69 @@ class ConeProjection:
     sweeps: int
 
 
-def project_cone(
-    x,
-    cost: CostMatrix,
-    tol: float = 1e-10,
-    max_sweeps: int = 10**6,
-    w0: np.ndarray | None = None,
-    wt0: np.ndarray | None = None,
-) -> ConeProjection:
+def _exact_residual(y: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """y_ij - (w_i + wt_j) for coef = (w, wt) >= 0, with the sum carried
+    exactly (Dekker's Fast2Sum, larger term first), so the residual stays
+    accurate where it cancels to a few units and w_i + wt_j is large."""
+    n = y.shape[0]
+    w, wt = coef[:n, None], coef[None, n:]
+    hi, lo = np.maximum(w, wt), np.minimum(w, wt)
+    s = hi + lo
+    return (y - s) - (lo - (s - hi))
+
+
+def project_cone(x, cost: CostMatrix) -> ConeProjection:
     """Nearest point to x, in the weighted norm, of the form
     y_ij = (w_i + wt_j) / c_ij with w, wt >= 0.
 
-    Block coordinate descent: given wt, each w_i has a closed-form clamped
-    minimizer (and vice versa); the blocks alternate until the largest
-    coordinate change drops below tol.
+    The 2n generators have one linear dependency, on which Lawson-Hanson
+    NNLS can stop at a wrong point (it does on integer grids with ties), so
+    each solve drops one generator k and runs NNLS on the 2n-1 independent
+    rest.  The result is the projection iff the dropped generator's dual
+    <x - p, g_k> (a row or column sum of x - p) is <= 0 up to roundoff.
+    Every optimal (w, wt) can be shifted along (w + d, wt - d) until some
+    coefficient is 0, so some k passes within 2n solves.  The first k tried
+    is the column generator of the smallest column sum of c * x, which is
+    where min(wt) = 0 usually falls; each next one is the untried generator
+    with the smallest coefficient (a zero one, if any), the most negative
+    dual among equals.  ``sweeps`` counts the solves.
+
+    NNLS leaves errors of a few ulps in w, wt, so the accepted solve gets one
+    step of iterative refinement on its face against the exact residual.
+    Potentials that are representable then come out exact, as the integer
+    ones of an integer projection under integer costs do, so SSC drift
+    samples that sit on their bound do not pass it by roundoff.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     n = cost.n
     g = _as_grid(x, n)
-    y = cost.c * g                     # target in potential units
-    r = 1.0 / cost.c
-    rw = r.sum(axis=1)
-    rc = r.sum(axis=0)
-    w = np.zeros(n) if w0 is None else np.array(w0, dtype=float)
-    wt = np.zeros(n) if wt0 is None else np.array(wt0, dtype=float)
-    if w.shape != (n,) or wt.shape != (n,):
-        raise ValueError("warm-start vectors must have length n")
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        w_new = np.maximum(0.0, (r * (y - wt[None, :])).sum(axis=1) / rw)
-        wt_new = np.maximum(0.0, (r * (y - w_new[:, None])).sum(axis=0) / rc)
-        delta = max(
-            float(np.abs(w_new - w).max()),
-            float(np.abs(wt_new - wt).max()),
-        )
-        w, wt = w_new, wt_new
-        if delta < tol:
+    gen, A, gram, sqrt_c, drop = cost._cone_system
+    y = cost.c * g
+    b = sqrt_c * g.ravel()
+    tol = 1e-9 * (1.0 + float(np.abs(b).sum()))
+    k = n + int(y.sum(axis=0).argmin())
+    untried = [j for j in range(2 * n) if j != k]
+    solves = 0
+    while True:
+        solves += 1
+        coef = np.zeros(2 * n)
+        coef[drop[k]], _ = nnls(A[:, drop[k]], b)
+        dual = _exact_residual(y, coef).ravel() @ gen
+        if dual[k] <= tol:
             break
-    else:
-        raise ConvergenceError(
-            f"cone projection did not converge in {max_sweeps} sweeps (tol={tol:g})"
-        )
-    parallel = (w[:, None] + wt[None, :]) * r
-    return ConeProjection(parallel=parallel, perp=g - parallel, w=w, wt=wt, sweeps=sweeps)
+        if not untried:
+            raise RuntimeError("cone projection: no NNLS solve passed the KKT test")
+        k = min(untried, key=lambda j: (coef[j], dual[j]))
+        untried.remove(k)
+    face = np.flatnonzero(coef)
+    if face.size:
+        _, delta, info = dposv(gram[face[:, None], face], dual[face])
+        if info:
+            raise RuntimeError("cone projection: singular face Gram matrix")
+        coef[face] += delta
+        np.maximum(coef, 0.0, out=coef)
+    w, wt = coef[:n], coef[n:]
+    parallel = (w[:, None] + wt[None, :]) / cost.c
+    return ConeProjection(parallel=parallel, perp=g - parallel, w=w, wt=wt, sweeps=solves)
 
 
 def cone_kkt_residual(x, proj: ConeProjection, cost: CostMatrix) -> float:

@@ -8,6 +8,7 @@ import pytest
 from switchlab import cli
 from switchlab.cli import ExperimentConfig, load_config, resolve_jobs, run_sweep
 from switchlab.scheduling import Schedule
+from switchlab.traffic import ArrivalModel
 from switchlab import validate as validate_mod
 
 
@@ -180,6 +181,20 @@ def test_cmd_sweep_deterministic_and_jobs_invariant(tmp_path):
     assert cli.main(["sweep", "--config", path, "--jobs", "2"]) == 0
     assert (tmp_path / "out" / "sweep.csv").read_bytes() == first
     assert (tmp_path / "out" / "sweep.json").read_bytes() == first_json
+
+
+def test_cmd_sweep_builds_each_arrival_model_once(tmp_path, monkeypatch):
+    # n = 3 so that analytic_block also runs the lower bound per epsilon
+    built = []
+
+    def counting_model(**kw):
+        built.append(kw["epsilon"])
+        return ArrivalModel(**kw)
+
+    monkeypatch.setattr(cli, "ArrivalModel", counting_model)
+    doc = base_doc(tmp_path, n=3, epsilon_grid=[0.3, 0.15], slots=2_000, warmup=200)
+    assert cli.main(["sweep", "--config", write_cfg(tmp_path, doc), "--jobs", "1"]) == 0
+    assert built == [0.3, 0.15]
 
 
 def test_cmd_sweep_seed_override_changes_results(tmp_path):

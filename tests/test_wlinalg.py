@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from switchlab.wlinalg import (
-    ConvergenceError,
     CostMatrix,
     ProjectionBasis,
     SingularMatrixError,
@@ -218,7 +219,7 @@ def test_cone_nonnegative_potentials(rng):
         assert proj.w.min() >= 0 and proj.wt.min() >= 0
 
 
-def test_cone_matches_nnls_oracle(rng):
+def test_cone_matches_descent_oracle(rng):
     for _ in range(200):
         n = int(rng.integers(2, 7))
         c = random_cost(rng, n)
@@ -249,16 +250,67 @@ def test_cone_dominated_by_space(rng):
         assert cnorm2(proj.perp, c) >= cnorm2(perp_s, c) - 1e-8
 
 
-def test_cone_nonconvergence_raises():
-    c = CostMatrix([[1.0, 9.0], [9.0, 1.0]])
-    x = np.array([[4.0, -3.0], [-2.0, 5.0]])
-    with pytest.raises(ConvergenceError):
-        project_cone(x, c, tol=1e-16, max_sweeps=2)
+def test_cone_integer_tie_example():
+    # The generators' one linear dependency makes NNLS on all 2n of them stop
+    # at residual^2 8 here, with p = [[1, 2], [3, 4]].
+    c = ones_cost(2)
+    x = np.array([[3.0, 2.0], [1.0, 4.0]])
+    proj = project_cone(x, c)
+    assert cnorm2(proj.perp, c) == 4.0
+    assert np.array_equal(proj.parallel, [[2.0, 3.0], [2.0, 3.0]])
+    assert cone_kkt_residual(x, proj, c) == 0.0
 
 
-def test_cone_tol_must_be_positive():
-    with pytest.raises(ValueError):
-        project_cone(np.ones((2, 2)), ones_cost(2), tol=0.0)
+def test_cone_second_solve_example():
+    # Column sums of c * x tie at 7, so the first solve drops wt_0, but the
+    # optimum with min(wt) = 0 has wt = (3/7, 0): the dual test rejects it
+    # and the second solve drops wt_1.
+    c = CostMatrix([[1.0, 1.0], [1.0, 4.0]])
+    x = np.array([[4.0, 3.0], [3.0, 1.0]])
+    proj = project_cone(x, c)
+    assert proj.sweeps == 2
+    assert np.allclose(proj.w, [23 / 7, 20 / 7], rtol=1e-15)
+    assert np.allclose(proj.wt, [3 / 7, 0.0], rtol=1e-15, atol=0.0)
+    assert cnorm2(proj.perp, c) == pytest.approx(4 / 7, rel=1e-15)
+    assert cone_kkt_residual(x, proj, c) <= 1e-14
+
+
+def test_cone_exact_on_integer_potentials(rng):
+    # x = integer cone point + complement vector, under costs 1 and 2: the
+    # projection is the cone point, so perp is exactly the complement vector.
+    # NNLS alone is a few ulps off here, enough to put an SSC drift sample
+    # above its bound n * sqrt(c_max) * a_max.
+    for _ in range(300):
+        n = int(rng.integers(2, 5))
+        c = CostMatrix(rng.integers(1, 3, (n, n)))
+        w, wt = 2 * rng.integers(0, 100, n), 2 * rng.integers(0, 100, n)
+        x0 = (w[:, None] + wt[None, :]) / c.c
+        comp = complement_basis_vector(c, *rng.integers(0, n - 1, 2)) * rng.choice([-1, 1])
+        assert np.array_equal(project_cone(x0, c).perp, np.zeros((n, n)))
+        proj = project_cone(x0 + comp, c)
+        assert np.array_equal(proj.parallel, x0)
+        assert cnorm2(proj.perp, c) == cnorm2(comp, c)
+
+
+def test_cone_integer_queue_grids(rng):
+    # Queue-shaped inputs: small integers, whose row and column sums often
+    # tie.  Every 2x2 grid with entries 0..5 under unit costs (NNLS on all 2n
+    # generators is wrong on 5 of them), then random grids and costs.
+    cases = [
+        (ones_cost(2), np.array(v, dtype=float).reshape(2, 2))
+        for v in itertools.product(range(6), repeat=4)
+    ]
+    for n in (2, 3, 4, 5):
+        for k in range(200):
+            c = random_cost(rng, n) if k % 2 else CostMatrix(rng.integers(1, 3, (n, n)))
+            cases.append((c, rng.integers(0, 6, (n, n)).astype(float)))
+    for c, x in cases:
+        proj = project_cone(x, c)
+        assert 1 <= proj.sweeps <= 2 * c.n
+        assert proj.w.min() >= 0 and proj.wt.min() >= 0
+        want = oracle_cone_residual2(x, c)
+        assert cnorm2(proj.perp, c) == pytest.approx(want, rel=1e-9, abs=1e-10)
+        assert cone_kkt_residual(x, proj, c) <= 1e-9 * (1.0 + cnorm2(x, c))
 
 
 def test_cost_matrix_validation():
