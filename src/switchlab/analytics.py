@@ -289,7 +289,7 @@ def universal_lower_bound(cost: CostMatrix, model: ArrivalModel) -> LowerBoundRe
         raise ValueError(
             f"n={n} needs ({math.factorial(n)})! priority orderings; n <= 3 is supported"
         )
-    scheds = list(perm_table(n)[0])
+    scheds = list(perm_table(n).perms)
     schedule_queues = [[(i, p[i]) for i in range(n)] for p in scheds]
     mom_eps = model.moments()
     mom_lim = model.limit_moments()

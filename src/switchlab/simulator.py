@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scheduling import MatcherConfig, Schedule, argmax_ties, break_tie, perm_table
+from .scheduling import MatcherConfig, Schedule, argmax_kernel, break_tie, perm_table
 from .scheduling import hungarian_schedule, max_weight_schedule
 from .traffic import ArrivalModel
 from .wlinalg import CostMatrix, project_cone
@@ -41,6 +41,8 @@ __all__ = [
 ARRIVAL_STREAM = 0
 TIEBREAK_STREAM = 1
 _BLOCK = 65536
+# Samples within this relative distance of kappa count as perp norm >= kappa.
+_KAPPA_RTOL = 1e-9
 
 
 def default_warmup(epsilon: float) -> int:
@@ -158,6 +160,15 @@ def _serve(q: list[int], a: list[int], idxs) -> list[int]:
     return unused
 
 
+def _weighted_sum(c_flat: list[float], q: list[int]) -> float:
+    """sum_k c_flat[k] * q[k] over the flat queue list, added from 0.0 in
+    row-major order: the weighted queue sum ``run`` and ``step`` record."""
+    w = 0.0
+    for c, x in zip(c_flat, q):
+        w += c * x
+    return w
+
+
 def _indicator(idxs, n: int) -> np.ndarray:
     """(n, n) 0/1 matrix with ones at the flat indices ``idxs``."""
     m = np.zeros(n * n, dtype=np.int64)
@@ -201,7 +212,7 @@ def step(
         A=A,
         S=s.as_matrix(),
         U=_indicator(unused, n),
-        weighted_qsum=float((cost.c * Qn).sum()),
+        weighted_qsum=_weighted_sum(cost.flat.tolist(), q),
     )
     return QueueState(Q=Qn, t=state.t + 1), rec
 
@@ -248,13 +259,14 @@ def run(cfg: RunConfig) -> RunStats:
     arrival_rng, tiebreak_rng = derive_rngs(cfg.seed, cfg.stream_key)
     mode = matcher.resolved_mode(n)
 
-    c_flat = [float(v) for v in cost.flat]
+    c_flat = cost.flat.tolist()
     Q = [0] * n2
     q_start = np.zeros(n2, dtype=np.int64)
 
     use_exact = mode == "exact-enumeration"
     if use_exact:
-        _, pidx = perm_table(n)
+        pidx = perm_table(n).pidx
+        ties_of = argmax_kernel(cost)
     uniform = _uniforms(tiebreak_rng).__next__
 
     w_acc = _BatchAcc(batch)
@@ -292,7 +304,7 @@ def run(cfg: RunConfig) -> RunStats:
 
             # -- schedule from Q(t)
             if use_exact:
-                idxs = pidx[break_tie(argmax_ties(Q, c_flat, pidx), uniform)]
+                idxs = pidx[break_tie(ties_of(Q), uniform)]
             else:
                 qmat = np.array(Q, dtype=np.int64).reshape(n, n)
                 perm = hungarian_schedule(qmat, cost, tiebreak_rng).perm
@@ -306,10 +318,7 @@ def run(cfg: RunConfig) -> RunStats:
             if in_measured:
                 for k in unused:
                     unused_total[k] += 1
-                wsum = 0.0
-                for k in range(n2):
-                    wsum += c_flat[k] * Q[k]
-                w_acc.add(wsum)
+                w_acc.add(_weighted_sum(c_flat, Q))
                 u_acc.add(float(len(unused)))
                 sched_count[idxs] = sched_count.get(idxs, 0) + 1
 
@@ -328,7 +337,7 @@ def run(cfg: RunConfig) -> RunStats:
                         A=np.array(A, dtype=np.int64).reshape(n, n),
                         S=_indicator(idxs, n),
                         U=_indicator(unused, n),
-                        weighted_qsum=float(sum(c_flat[k] * Q[k] for k in range(n2))),
+                        weighted_qsum=_weighted_sum(c_flat, Q),
                         perp_norm=perp_samples[-1] if sample_now else None,
                         par_norm=par_samples[-1] if sample_now else None,
                         drift_W=drift_samples[-1] if sample_now else None,
@@ -396,7 +405,8 @@ def drift_diagnostics(
 
     ``source`` is a RunStats or a list of SlotRecords carrying perp_norm /
     drift_W.  Reports max |dW| against the bound n * sqrt(c_max) * a_max and
-    the conditional mean of dW given perp norm >= kappa for each kappa.
+    the conditional mean of dW given perp norm >= kappa for each kappa,
+    where a norm within 1e-9 relative of kappa counts as >= kappa.
     """
     if isinstance(source, RunStats):
         perp, drift = source.perp_samples, source.drift_samples
@@ -414,7 +424,9 @@ def drift_diagnostics(
         kappa_grid = [float(np.percentile(perp, q)) for q in (50, 75, 90)]
     rows = []
     for kappa in kappa_grid:
-        mask = perp >= kappa
+        # kappa is often a sample value shared by many samples (a percentile
+        # of a lattice-valued norm); last-bit noise must not decide them.
+        mask = perp >= kappa - _KAPPA_RTOL * abs(kappa)
         cnt = int(mask.sum())
         mean = float(drift[mask].mean()) if cnt else float("nan")
         rows.append((float(kappa), cnt, mean))

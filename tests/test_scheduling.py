@@ -7,10 +7,14 @@ from scipy.stats import chisquare
 from switchlab.scheduling import (
     MatcherConfig,
     Schedule,
+    _gather_kernel,
+    _loop_kernel,
     all_schedules,
+    argmax_kernel,
     enumerate_argmax,
     hungarian_schedule,
     max_weight_schedule,
+    perm_table,
     schedule_weight,
 )
 from switchlab.wlinalg import CostMatrix
@@ -70,6 +74,42 @@ def test_enumerate_argmax_cases():
 def test_enumerate_argmax_threshold():
     with pytest.raises(ValueError):
         enumerate_argmax(np.zeros((4, 4)), ones_cost(4), exact_threshold=3)
+
+
+def _kernel_cases(n, rng):
+    """(costs, flat queue list) pairs: forced ties from unit and checker(1, 2)
+    costs on integer grids 0..3, random non-integral costs, and decimal costs
+    on 0/1 grids, whose sums often agree in the reals but round differently
+    in another order."""
+    checker = np.array([[1.0 + (i + j) % 2 for j in range(n)] for i in range(n)])
+    draws = [
+        (lambda: np.ones((n, n)), 4),
+        (lambda: checker, 4),
+        (lambda: rng.uniform(0.5, 2.0, (n, n)), 4),
+        (lambda: rng.uniform(0.1, 10.0, (n, n)), 4),
+        (lambda: rng.choice([0.1, 0.2, 0.3, 0.7], (n, n)), 2),
+    ]
+    reps = {7: 40, 8: 12}.get(n, 200)
+    for draw, q_high in draws:
+        yield draw(), [0] * (n * n)
+        for _ in range(reps):
+            yield draw(), rng.integers(0, q_high, n * n).tolist()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_gather_kernel_matches_loop(n):
+    # n = 8 is reachable with exact_threshold >= 8, and is the first n at which
+    # numpy's pairwise summation would reorder a row-contiguous sum.
+    rng = np.random.default_rng(40 + n)
+    table = perm_table(n)
+    seen_ties = 0
+    for c, q in _kernel_cases(n, rng):
+        cost = CostMatrix(c)
+        ref = _loop_kernel(cost.flat.tolist(), table.pidx)(q)
+        assert _gather_kernel(cost.flat, table.cols)(q).tolist() == ref
+        assert list(argmax_kernel(cost)(q)) == ref
+        seen_ties += len(ref) > 1
+    assert seen_ties > 10
 
 
 def test_tie_breaking_uniform(rng):

@@ -7,6 +7,7 @@ from switchlab.scheduling import MatcherConfig, Schedule, enumerate_argmax
 from switchlab.simulator import (
     QueueState,
     RunConfig,
+    SlotRecord,
     default_warmup,
     derive_rngs,
     drift_diagnostics,
@@ -23,6 +24,10 @@ def ones_cost(n=2):
 
 def bernoulli(eps, n=2):
     return ArrivalModel.bernoulli(uniform_nu(n), eps)
+
+
+def checker(n):
+    return CostMatrix([[1.0 + (i + j) % 2 for j in range(n)] for i in range(n)])
 
 
 def small_cfg(**kw):
@@ -153,10 +158,11 @@ def test_run_hungarian_mode_matches_dynamics():
     "cost, eps, mode",
     [
         (CostMatrix([[1.0, 2.0], [2.0, 1.0]]), 0.1, "exact-enumeration"),
-        (CostMatrix([[1.0 + (i + j) % 2 for j in range(4)] for i in range(4)]), 0.1, "exact-enumeration"),
+        (checker(4), 0.1, "exact-enumeration"),
+        (checker(5), 0.1, "exact-enumeration"),
         (CostMatrix(np.random.default_rng(8).uniform(0.5, 2.0, (8, 8))), 0.2, "hungarian"),
     ],
-    ids=["n2-exact", "n4-checker-exact", "n8-hungarian"],
+    ids=["n2-exact", "n4-checker-exact", "n5-checker-exact", "n8-hungarian"],
 )
 def test_step_replay_matches_run_bit_for_bit(cost, eps, mode):
     n, exact = cost.n, mode == "exact-enumeration"
@@ -167,15 +173,46 @@ def test_step_replay_matches_run_bit_for_bit(cost, eps, mode):
     stats = run(cfg)
     a_rng, t_rng = derive_rngs(cfg.seed, cfg.stream_key)
     state = QueueState.empty(n)
+    Q = state.Q
     ties = 0
     for rec in stats.records:
         if exact:
             ties += len(enumerate_argmax(state.Q, cost)) > 1
         state, got = step(state, cfg.model, cost, cfg.matcher, a_rng, t_rng, arrivals=rec.A)
+        Q = Q + rec.A - rec.S + rec.U
         assert np.array_equal(got.S, rec.S), f"schedule differs at slot {rec.t}"
         assert np.array_equal(got.U, rec.U), f"unused service differs at slot {rec.t}"
+        assert np.array_equal(state.Q, Q), f"queues differ after slot {rec.t}"
+        assert got.weighted_qsum == rec.weighted_qsum, f"weighted sum differs at slot {rec.t}"
         assert cdot(state.Q, got.U, cost) == 0.0
     assert not exact or ties > 100  # the exact cases exercise the tie-break
+
+
+@pytest.mark.parametrize(
+    "n, measured, expected",
+    [
+        (5, 3000, (43.80433333333333, 2.3295983415495023, 0.5, [
+            [548, 556, 554, 546, 563], [562, 510, 546, 529, 563], [560, 553, 558, 508, 523],
+            [545, 530, 490, 535, 550], [550, 536, 513, 521, 551]])),
+        (6, 1500, (52.528000000000006, 2.4882123204670736, 0.5593333333333333, [
+            [213, 229, 251, 242, 245, 210], [235, 204, 227, 224, 229, 214],
+            [220, 242, 247, 228, 226, 226], [234, 248, 216, 213, 233, 215],
+            [220, 215, 211, 222, 235, 249], [234, 209, 212, 218, 244, 221]])),
+    ],
+    ids=["n5", "n6"],
+)
+def test_exact_run_pinned(n, measured, expected):
+    # Values produced by the pure-Python enumeration loop at every n; the numpy
+    # kernel must reproduce them bit for bit.
+    cfg = RunConfig(c=checker(n), model=bernoulli(0.1, n), measured=measured, warmup=300,
+                    seed=17, stream_key=(0, 1), collect_ssc=False)
+    stats = run(cfg)
+    mean, stderr, unused, departures = expected
+    assert stats.matcher_mode == "exact-enumeration"
+    assert stats.mean_weighted_qsum == mean
+    assert stats.stderr_weighted_qsum == stderr
+    assert stats.unused_service_rate == unused
+    assert np.array_equal(stats.departure_rate, np.array(departures) / measured)
 
 
 def test_run_config_validation():
@@ -217,6 +254,23 @@ def test_drift_diagnostics_from_records():
     with pytest.raises(ValueError):
         drift_diagnostics([r for r in stats.records if r.drift_W is None],
                           ones_cost(), a_max=1)
+
+
+def test_drift_conditioning_ignores_last_bit_at_tied_kappa():
+    kappa = 2 / np.sqrt(3)
+    zero = np.zeros((2, 2), dtype=int)
+
+    def rows(perp):
+        recs = [SlotRecord(t=k, A=zero, S=zero, U=zero, weighted_qsum=0.0,
+                           perp_norm=p, drift_W=-float(k))
+                for k, p in enumerate(perp)]
+        return drift_diagnostics(recs, ones_cost(), a_max=1, kappa_grid=[kappa]).rows[0]
+
+    base = [1.0, kappa, kappa, 1.2, kappa * (1 - 1e-6)]
+    assert rows(base)[1] == 3
+    nudged = list(base)
+    nudged[2] = np.nextafter(kappa, 0.0)
+    assert rows(nudged) == rows(base)
 
 
 def test_queues_drain_without_arrivals():
