@@ -35,7 +35,6 @@ from .traffic import ArrivalModel, MomentVector, face_check, uniform_nu
 from .wlinalg import (
     ConeProjection,
     CostMatrix,
-    ProjectionBasis,
     SingularMatrixError,
     cdot,
     cnorm,

@@ -28,16 +28,16 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from .scheduling import perm_table
 from .simulator import RunStats
 from .traffic import ArrivalModel, MomentVector
-from .wlinalg import CostMatrix, ProjectionBasis, solve_dense
+from .wlinalg import CostMatrix, solve_dense
 
 __all__ = [
     "ZetaResult",
     "ZetaReport",
-    "GSystem",
     "OrderingBound",
     "LowerBoundResult",
     "SscRow",
@@ -82,50 +82,42 @@ def _pair_indicator(n: int, i: int, j: int) -> np.ndarray:
 
 
 def zeta_projection(cost: CostMatrix) -> ZetaResult:
-    """Overlap fractions via the prefactored Gram system of the stacked
-    generators: a quadratic form of the pair indicator in the inverse Gram."""
+    """Overlap fractions via the Gram system of the stacked generators that
+    ``project_space`` uses: a quadratic form of the pair indicator in the
+    inverse Gram."""
     n = cost.n
-    basis = ProjectionBasis.from_cost(cost)
+    _, cho = cost._space_system
     zeta = np.empty((n, n))
     for i in range(n):
         for j in range(n):
             b = _pair_indicator(n, i, j)
-            zeta[i, j] = float(b @ basis.solve(b)) / cost.c[i, j]
+            zeta[i, j] = float(b @ cho_solve(cho, b)) / cost.c[i, j]
     return ZetaResult(zeta=zeta, method="projection")
 
 
-@dataclass(eq=False)
-class GSystem:
-    """Coefficient matrix of the complement-ansatz equations.
+def _g_matrix(cost: CostMatrix) -> np.ndarray:
+    """Coefficient matrix G of the complement-ansatz equations, built from 1/c.
 
     Unknown order is (x_1..x_{n-1}, y_1..y_{n-1}, z); equations are the n
-    input-port pairings followed by the first n-1 output-port pairings.
+    input-port pairings followed by the first n-1 output-port pairings.  The
+    right-hand side of pair (i, j) is ``_pair_indicator(n, i, j)``.
     """
-
-    n: int
-    G: np.ndarray
-
-    @classmethod
-    def from_cost(cls, cost: CostMatrix) -> "GSystem":
-        n = cost.n
-        r = 1.0 / cost.c
-        k = 2 * n - 1
-        G = np.zeros((k, k))
-        for i in range(n - 1):
-            G[i, i] = r[i, :].sum()
-            G[i, n - 1 : 2 * n - 2] = r[i, : n - 1]
-            G[i, k - 1] = r[i, : n - 1].sum()
-        G[n - 1, n - 1 : 2 * n - 2] = r[n - 1, : n - 1]
-        G[n - 1, k - 1] = -r[n - 1, n - 1]
-        for j in range(n - 1):
-            row = n + j
-            G[row, 0 : n - 1] = r[: n - 1, j]
-            G[row, n - 1 + j] = r[:, j].sum()
-            G[row, k - 1] = r[: n - 1, j].sum()
-        return cls(n=n, G=G)
-
-    def rhs_for(self, i: int, j: int) -> np.ndarray:
-        return _pair_indicator(self.n, i, j)
+    n = cost.n
+    r = 1.0 / cost.c
+    k = 2 * n - 1
+    G = np.zeros((k, k))
+    for i in range(n - 1):
+        G[i, i] = r[i, :].sum()
+        G[i, n - 1 : 2 * n - 2] = r[i, : n - 1]
+        G[i, k - 1] = r[i, : n - 1].sum()
+    G[n - 1, n - 1 : 2 * n - 2] = r[n - 1, : n - 1]
+    G[n - 1, k - 1] = -r[n - 1, n - 1]
+    for j in range(n - 1):
+        row = n + j
+        G[row, 0 : n - 1] = r[: n - 1, j]
+        G[row, n - 1 + j] = r[:, j].sum()
+        G[row, k - 1] = r[: n - 1, j].sum()
+    return G
 
 
 def zeta_gmatrix(cost: CostMatrix) -> ZetaResult:
@@ -138,11 +130,11 @@ def zeta_gmatrix(cost: CostMatrix) -> ZetaResult:
     fraction.
     """
     n = cost.n
-    sys_ = GSystem.from_cost(cost)
+    G = _g_matrix(cost)
     zeta = np.empty((n, n))
     for i in range(n):
         for j in range(n):
-            u = solve_dense(sys_.G, sys_.rhs_for(i, j))
+            u = solve_dense(G, _pair_indicator(n, i, j))
             x = u[: n - 1]
             y = u[n - 1 : 2 * n - 2]
             z = u[2 * n - 2]

@@ -101,7 +101,7 @@ def _expand_nu(n: int, spec) -> np.ndarray:
     return nu
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class ExperimentConfig:
     n: int
     cost: np.ndarray
@@ -141,10 +141,11 @@ class ExperimentConfig:
             raise ConfigError(f"sigma2 must be {self.n}x{self.n}")
         # Build every object a task builds, once: a bad value fails here and
         # not inside a worker process, and no arrival model is calibrated twice.
+        # The config is frozen so that these runs cannot go stale.
         try:
             cost = CostMatrix(self.cost)
             matcher = MatcherConfig(mode=self.matcher_mode, exact_threshold=self.exact_threshold)
-            self._run_configs = [
+            run_configs = [
                 simulator.RunConfig(
                     c=cost,
                     model=ArrivalModel(
@@ -162,6 +163,7 @@ class ExperimentConfig:
             ]
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "_run_configs", run_configs)
 
     # -- construction / serialization --
 
@@ -233,9 +235,8 @@ class ExperimentConfig:
         return self.slots_by_epsilon.get(epsilon, self.slots)
 
     def run_config(self, eps_index: int, record_slots: bool = False) -> simulator.RunConfig:
-        """Replication 0 at grid point ``eps_index`` (stream key (eps_index, 0)),
-        under the current seed."""
-        return replace(self._run_configs[eps_index], seed=self.seed, record_slots=record_slots)
+        """Replication 0 at grid point ``eps_index`` (stream key (eps_index, 0))."""
+        return replace(self._run_configs[eps_index], record_slots=record_slots)
 
     def sigma2_limit(self) -> np.ndarray:
         """Variance vector entering the heavy-traffic constant (load -> 1)."""
@@ -248,7 +249,8 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, seed: int | None = None) -> ExperimentConfig:
+    """Read a config file; a ``seed`` given here replaces the document's."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -256,6 +258,8 @@ def load_config(path: str) -> ExperimentConfig:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if seed is not None and isinstance(doc, dict):
+        doc["seed"] = seed
     return ExperimentConfig.from_dict(doc)
 
 
@@ -393,9 +397,7 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = load_config(args.config, seed=args.seed)
     jobs = resolve_jobs(args.jobs)
     by_eps = run_sweep(cfg, jobs=jobs)
     rows = sweep_rows(cfg, by_eps)
@@ -465,9 +467,7 @@ def cmd_lower_bound(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = load_config(args.config, seed=args.seed)
     eps = cfg.epsilon_grid[0]
     stats = simulator.run(cfg.run_config(0, record_slots=args.trace is not None))
     out = Path(cfg.output_dir)

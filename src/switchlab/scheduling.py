@@ -224,5 +224,6 @@ def max_weight_schedule(
     """Pick a maximum-weight schedule; exact mode samples uniformly from the
     full argmax set, drawing one ``rng.random()`` per tie (``break_tie``)."""
     if cfg.resolved_mode(cost.n) == "exact-enumeration":
-        return break_tie(enumerate_argmax(Q, cost, exact_threshold=cost.n), rng.random)
+        ties = argmax_kernel(cost)(_check_dims(Q, cost).ravel().tolist())
+        return Schedule(perm_table(cost.n).perms[break_tie(ties, rng.random)])
     return hungarian_schedule(Q, cost, rng)

@@ -92,6 +92,13 @@ def _calibrate_trunc_poisson(target: float, a_max: int) -> float:
     return brentq(lambda r: _trunc_poisson_mean(r, a_max) - target, 1e-300, hi, xtol=1e-15, rtol=1e-15)
 
 
+def _trunc_poisson_rates(mean: np.ndarray, a_max: int) -> np.ndarray:
+    """Calibrated rate of every entry of ``mean``, one solve per distinct value."""
+    values, inverse = np.unique(mean, return_inverse=True)
+    rates = np.array([_calibrate_trunc_poisson(float(m), a_max) for m in values])
+    return rates[inverse].reshape(mean.shape)
+
+
 def law_moments(kind: str, mean: np.ndarray, a_max: int, rates: np.ndarray | None = None) -> MomentVector:
     """Analytic moments of one arrival law given its (entrywise) mean.
 
@@ -110,9 +117,7 @@ def law_moments(kind: str, mean: np.ndarray, a_max: int, rates: np.ndarray | Non
         second = q * a_max * (2 * a_max + 1) / 6.0
     elif kind == "truncated-poisson":
         if rates is None:
-            rates = np.empty_like(mean)
-            for idx, m in np.ndenumerate(mean):
-                rates[idx] = _calibrate_trunc_poisson(float(m), a_max)
+            rates = _trunc_poisson_rates(mean, a_max)
         k = np.arange(a_max + 1)
         second = np.empty_like(mean)
         for idx, r in np.ndenumerate(rates):
@@ -160,11 +165,7 @@ class ArrivalModel:
         else:
             if nu.max() >= self.a_max:
                 raise ValueError("need nu < a_max for the truncated law")
-            mean = self.mean
-            rates = np.empty_like(mean)
-            for idx, m in np.ndenumerate(mean):
-                rates[idx] = _calibrate_trunc_poisson(float(m), self.a_max)
-            self._rates = rates
+            self._rates = _trunc_poisson_rates(self.mean, self.a_max)
 
     # -------- constructors --------
 
@@ -200,12 +201,7 @@ class ArrivalModel:
     def limit_moments(self) -> MomentVector:
         """Moments of the epsilon -> 0 law (mean nu); variance limit used in
         the heavy-traffic constant."""
-        if self.kind == "truncated-poisson":
-            rates = np.empty_like(self.nu)
-            for idx, m in np.ndenumerate(self.nu):
-                rates[idx] = _calibrate_trunc_poisson(float(m), self.a_max)
-            return law_moments(self.kind, np.array(self.nu), self.a_max, rates=rates)
-        return law_moments(self.kind, np.array(self.nu), self.a_max)
+        return law_moments(self.kind, self.nu, self.a_max)
 
     # -------- sampling --------
 

@@ -11,7 +11,7 @@ are built on:
 
 * ``project_space``: orthogonal projection onto the "port-sum" subspace of
   vectors of the form x_ij = (w_i + wt_j) / c_ij with w, wt real, computed
-  through a prefactored Gram system.
+  through a Gram system that ``CostMatrix`` factors once and caches.
 * ``project_cone``: nearest point in the cone obtained by restricting
   w, wt >= 0, computed exactly by Lawson-Hanson nonnegative least squares
   and certified by the KKT conditions of the projection.
@@ -20,7 +20,7 @@ are built on:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,7 +30,6 @@ from scipy.optimize import nnls
 
 __all__ = [
     "CostMatrix",
-    "ProjectionBasis",
     "ConeProjection",
     "SingularMatrixError",
     "cdot",
@@ -88,20 +87,35 @@ class CostMatrix:
         return float(self.c.min())
 
     @cached_property
-    def _cone_system(self) -> tuple[np.ndarray, ...]:
-        """Constants of ``project_cone``: the (n^2, 2n) matrix of the n row
-        then n column generators (whose transpose maps x - p to the duals
-        <x - p, g_k>), the same scaled by sqrt(c) so that the weighted norm
-        becomes the Euclidean one, its Gram matrix, sqrt(c), and row k of
-        ~eye(2n) to drop generator k.  The columns have exactly one linear
-        dependency: both halves sum to 1/c."""
+    def _generators(self) -> np.ndarray:
+        """The (n^2, 2n) matrix of the n row then n column generators of the
+        port-sum subspace, read-only: both projection systems share it.  Its
+        columns have exactly one linear dependency: both halves sum to 1/c."""
         n = self.n
         gens = [row_generator(self, i).ravel() for i in range(n)]
         gens += [col_generator(self, j).ravel() for j in range(n)]
         gen = np.array(gens).T
+        gen.flags.writeable = False
+        return gen
+
+    @cached_property
+    def _space_system(self) -> tuple[np.ndarray, tuple]:
+        """Constants of ``project_space``: the 2n-1 independent generators Z
+        (all but the last column generator) and the Cholesky factor of their
+        weighted Gram matrix Z^T diag(c) Z."""
+        Z = self._generators[:, : 2 * self.n - 1]
+        return Z, cho_factor(Z.T @ (self.flat[:, None] * Z))
+
+    @cached_property
+    def _cone_system(self) -> tuple[np.ndarray, ...]:
+        """Constants of ``project_cone``: the generators (whose transpose maps
+        x - p to the duals <x - p, g_k>), the same scaled by sqrt(c) so that
+        the weighted norm becomes the Euclidean one, its Gram matrix, sqrt(c),
+        and row k of ~eye(2n) to drop generator k."""
+        gen = self._generators
         sqrt_c = np.sqrt(self.flat)
         A = sqrt_c[:, None] * gen
-        return gen, A, A.T @ A, sqrt_c, ~np.eye(2 * n, dtype=bool)
+        return gen, A, A.T @ A, sqrt_c, ~np.eye(2 * self.n, dtype=bool)
 
 
 def _as_grid(x, n: int) -> np.ndarray:
@@ -195,46 +209,16 @@ def solve_dense(A, b) -> np.ndarray:
     return lu_solve((lu, piv), b)
 
 
-@dataclass(eq=False)
-class ProjectionBasis:
-    """Stacked generators of the port-sum subspace with a prefactored Gram.
-
-    Z has 2n-1 columns: the n row generators followed by the first n-1
-    column generators (the last column generator is dependent through the
-    all-(1/c) vector).
-    """
-
-    n: int
-    Z: np.ndarray
-    gram: np.ndarray
-    _cho: tuple = field(repr=False, default=None)
-
-    @classmethod
-    def from_cost(cls, cost: CostMatrix) -> "ProjectionBasis":
-        n = cost.n
-        cols = [row_generator(cost, i).ravel() for i in range(n)]
-        cols += [col_generator(cost, j).ravel() for j in range(n - 1)]
-        Z = np.array(cols).T
-        gram = Z.T @ (cost.flat[:, None] * Z)
-        cho = cho_factor(gram)
-        return cls(n=n, Z=Z, gram=gram, _cho=cho)
-
-    def solve(self, v: np.ndarray) -> np.ndarray:
-        return cho_solve(self._cho, v)
-
-
-def project_space(x, basis: ProjectionBasis, cost: CostMatrix):
+def project_space(x, cost: CostMatrix):
     """Split x into its port-sum component and the orthogonal remainder.
 
     Returns (parallel, perp) with parallel + perp == x and
     cdot(parallel, perp) == 0 up to roundoff.
     """
-    if basis.n != cost.n:
-        raise ValueError("basis and cost dimensions differ")
     g = _as_grid(x, cost.n)
-    v = basis.Z.T @ (cost.flat * g.ravel())
-    u = basis.solve(v)
-    parallel = (basis.Z @ u).reshape(cost.n, cost.n)
+    Z, cho = cost._space_system
+    u = cho_solve(cho, Z.T @ (cost.flat * g.ravel()))
+    parallel = (Z @ u).reshape(cost.n, cost.n)
     return parallel, g - parallel
 
 

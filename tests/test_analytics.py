@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from switchlab.analytics import (
-    GSystem,
     ZetaResult,
+    _g_matrix,
+    _pair_indicator,
     cross_validated_zeta,
     ht_limit,
     n2_closed_form,
@@ -43,10 +44,10 @@ def test_zeta_n2_unit_value():
 
 
 def test_gsystem_matches_hand_matrix():
-    sys_ = GSystem.from_cost(ones_cost(2))
-    assert np.allclose(sys_.G, [[2, 1, 1], [0, 1, -1], [1, 2, 1]])
-    assert sys_.rhs_for(0, 0).tolist() == [1.0, 0.0, 1.0]
-    assert sys_.rhs_for(0, 1).tolist() == [1.0, 0.0, 0.0]
+    G = _g_matrix(ones_cost(2))
+    assert np.allclose(G, [[2, 1, 1], [0, 1, -1], [1, 2, 1]])
+    assert _pair_indicator(2, 0, 0).tolist() == [1.0, 0.0, 1.0]
+    assert _pair_indicator(2, 0, 1).tolist() == [1.0, 0.0, 0.0]
     z = zeta_gmatrix(ones_cost(2)).zeta
     assert np.allclose(z, 0.75, atol=1e-14)
 

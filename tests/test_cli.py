@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -44,6 +45,8 @@ def test_config_round_trip(tmp_path):
     assert cfg.to_dict() == cfg2.to_dict()
     assert cfg.config_hash() == cfg2.config_hash()
     assert cfg.slots_for(0.2) == 40000 and cfg.slots_for(0.1) == 30000
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.seed = 99  # the runs built from the config would keep the old seed
 
 
 def test_cost_presets(tmp_path):
@@ -205,6 +208,23 @@ def test_cmd_sweep_seed_override_changes_results(tmp_path):
     assert cli.main(["sweep", "--config", path, "--jobs", "1", "--seed", "99"]) == 0
     b = (tmp_path / "out" / "sweep.csv").read_text()
     assert a != b
+
+
+def test_seed_flag_matches_config_seed(tmp_path):
+    # --seed is applied to the document before the config is built, so it
+    # reaches every run exactly as a "seed" key would.
+    doc = base_doc(tmp_path, epsilon_grid=[0.3, 0.2], slots=5_000, warmup=200, replications=1)
+    files = ("sweep.csv", "sweep.json", "run.json")
+    outputs = []
+    for path, flag in (
+        (write_cfg(tmp_path, doc), ["--seed", "99"]),
+        (write_cfg(tmp_path, dict(doc, seed=99), "cfg99.json"), []),
+    ):
+        assert cli.main(["sweep", "--config", path, "--jobs", "1", *flag]) == 0
+        assert cli.main(["simulate", "--config", path, *flag]) == 0
+        outputs.append([(tmp_path / "out" / f).read_bytes() for f in files])
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["seed"] == 99
 
 
 def test_pooled_stderr_shrinks_with_replications(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from switchlab import traffic
 from switchlab.traffic import ArrivalModel, face_check, law_moments, uniform_nu
 from switchlab.wlinalg import CostMatrix
 
@@ -111,3 +112,32 @@ def test_with_epsilon_rebuilds():
     m2 = m.with_epsilon(0.25)
     assert m2.epsilon == 0.25
     assert np.allclose(m2.mean, 0.75 * uniform_nu(2))
+
+
+def test_truncated_poisson_calibrates_each_distinct_mean_once(monkeypatch):
+    # Non-uniform nu with repeated entries: the rates equal per-entry
+    # calibration bit for bit, with one solve per distinct mean.
+    nu = np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
+
+    def per_entry(mean):
+        return np.array([[traffic._calibrate_trunc_poisson(float(m), 4) for m in row] for row in mean])
+
+    m = ArrivalModel.truncated_poisson(nu, 0.1, a_max=4)
+    assert np.array_equal(m._rates, per_entry(m.mean))
+    lim = m.limit_moments()
+    want = law_moments("truncated-poisson", nu, 4, rates=per_entry(nu))
+    assert np.array_equal(lim.second_moment, want.second_moment)
+    assert np.array_equal(lim.var, want.var)
+
+    solves = []
+    calibrate = traffic._calibrate_trunc_poisson
+
+    def counting(target, a_max):
+        solves.append(target)
+        return calibrate(target, a_max)
+
+    monkeypatch.setattr(traffic, "_calibrate_trunc_poisson", counting)
+    ArrivalModel.truncated_poisson(nu, 0.1, a_max=4).limit_moments()
+    assert len(solves) == 4
+    ArrivalModel.truncated_poisson(uniform_nu(16), 0.1, a_max=4)
+    assert len(solves) == 5

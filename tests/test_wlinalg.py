@@ -4,10 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
+from switchlab.analytics import zeta_projection
 from switchlab.wlinalg import (
     CostMatrix,
-    ProjectionBasis,
     SingularMatrixError,
     cdot,
     cnorm2,
@@ -116,26 +117,23 @@ def test_solve_residual_bound(rng):
 
 def test_project_space_idempotent_on_member(rng):
     c = random_cost(rng, 3)
-    basis = ProjectionBasis.from_cost(c)
     x = row_generator(c, 0)
-    par, perp = project_space(x, basis, c)
+    par, perp = project_space(x, c)
     assert np.abs(par - x).max() < 1e-12
     assert np.abs(perp).max() < 1e-12
 
 
 def test_project_space_orthogonal_complement_vector():
     c = ones_cost(2)
-    basis = ProjectionBasis.from_cost(c)
     x = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    par, perp = project_space(x, basis, c)
+    par, perp = project_space(x, c)
     assert np.abs(par).max() < 1e-12
     assert np.allclose(perp, x)
 
 
 def test_project_space_unit_vector_energy():
     c = ones_cost(2)
-    basis = ProjectionBasis.from_cost(c)
-    par, _ = project_space(unit_vector(2, 0, 0), basis, c)
+    par, _ = project_space(unit_vector(2, 0, 0), c)
     assert cnorm2(par, c) == pytest.approx(0.75, abs=1e-12)
 
 
@@ -143,13 +141,12 @@ def test_pythagoras_and_idempotence(rng):
     for _ in range(1000):
         n = int(rng.integers(2, 7))
         c = random_cost(rng, n)
-        basis = ProjectionBasis.from_cost(c)
         x = rng.normal(size=(n, n)) * rng.uniform(0.1, 50)
-        par, perp = project_space(x, basis, c)
+        par, perp = project_space(x, c)
         total = cnorm2(x, c)
         assert abs(total - cnorm2(par, c) - cnorm2(perp, c)) <= 1e-8 * (1e-12 + total)
         assert abs(cdot(par, perp, c)) <= 1e-9 * (1e-12 + total)
-        par2, perp2 = project_space(par, basis, c)
+        par2, perp2 = project_space(par, c)
         assert np.abs(par2 - par).max() <= 1e-9 * (1.0 + np.abs(par).max())
         assert np.abs(perp2).max() <= 1e-9 * (1.0 + np.abs(par).max())
 
@@ -158,21 +155,23 @@ def test_project_space_matches_gram_schmidt_oracle(rng):
     for _ in range(100):
         n = int(rng.integers(2, 6))
         c = random_cost(rng, n)
-        basis = ProjectionBasis.from_cost(c)
         x = rng.normal(size=(n, n)) * 5
-        par, _ = project_space(x, basis, c)
+        par, _ = project_space(x, c)
         assert np.abs(par - oracle_space_projection(x, c)).max() < 1e-9
 
 
 def test_projection_basis_invariants(rng):
     for n in (2, 4, 6):
         c = random_cost(rng, n)
-        basis = ProjectionBasis.from_cost(c)
-        assert basis.Z.shape == (n * n, 2 * n - 1)
-        assert np.allclose(basis.gram, basis.gram.T)
-        assert np.all(np.linalg.eigvalsh(basis.gram) > 0)
+        Z, cho = c._space_system
+        assert Z.shape == (n * n, 2 * n - 1)
+        gram = Z.T @ (c.flat[:, None] * Z)
+        assert np.allclose(gram, gram.T)
+        assert np.all(np.linalg.eigvalsh(gram) > 0)
+        # the cached factor is that of this Gram matrix
+        assert np.allclose(cho_solve(cho, gram), np.eye(2 * n - 1))
         # column k <= n-1 lives on row k of the grid with entries 1/c
-        col0 = basis.Z[:, 0].reshape(n, n)
+        col0 = Z[:, 0].reshape(n, n)
         assert np.allclose(col0[0], 1.0 / c.c[0])
         assert np.abs(col0[1:]).max() == 0.0
         # complement basis vectors are orthogonal to every generator
@@ -182,6 +181,23 @@ def test_projection_basis_invariants(rng):
                 for k in range(n):
                     assert abs(cdot(b, row_generator(c, k), c)) < 1e-12
                     assert abs(cdot(b, col_generator(c, k), c)) < 1e-12
+
+
+def test_cached_systems_match_fresh_cost(rng):
+    # project_space, project_cone and zeta_projection read constants that
+    # CostMatrix caches on first use; reusing one CostMatrix across all three
+    # gives the bits of a fresh one.
+    def outputs(x, c):
+        cone = project_cone(x, c)
+        return [*project_space(x, c), cone.parallel, cone.w, cone.wt, zeta_projection(c).zeta]
+
+    for n in (2, 3, 5):
+        raw = rng.uniform(0.1, 10.0, (n, n))
+        used = CostMatrix(raw)
+        for _ in range(3):
+            x = rng.normal(size=(n, n)) * 5
+            for got, want in zip(outputs(x, used), outputs(x, CostMatrix(raw))):
+                assert np.array_equal(got, want)
 
 
 # -------- cone projection --------
@@ -243,9 +259,8 @@ def test_cone_dominated_by_space(rng):
     for _ in range(200):
         n = int(rng.integers(2, 6))
         c = random_cost(rng, n)
-        basis = ProjectionBasis.from_cost(c)
         x = rng.normal(size=(n, n)) * 5
-        _, perp_s = project_space(x, basis, c)
+        _, perp_s = project_space(x, c)
         proj = project_cone(x, c)
         assert cnorm2(proj.perp, c) >= cnorm2(perp_s, c) - 1e-8
 
