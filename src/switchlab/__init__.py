@@ -15,7 +15,6 @@ from .analytics import (
     zeta_projection,
 )
 from .scheduling import (
-    MatcherConfig,
     Schedule,
     enumerate_argmax,
     max_weight_schedule,
@@ -37,7 +36,6 @@ from .wlinalg import (
     CostMatrix,
     SingularMatrixError,
     cdot,
-    cnorm,
     cnorm2,
     project_cone,
     project_space,

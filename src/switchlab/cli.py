@@ -37,7 +37,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytics, simulator, validate
-from .scheduling import MatcherConfig
 from .traffic import ArrivalModel, face_check, uniform_nu
 from .wlinalg import CostMatrix
 
@@ -64,6 +63,26 @@ class InfeasibleError(ValueError):
 
 
 # -------- configuration --------
+
+
+# The keys a configuration document may carry, at its top level and in its
+# "arrival" object; to_dict writes exactly these.
+_DOC_KEYS = frozenset({
+    "n", "cost", "arrival", "epsilon_grid", "slots", "slots_by_epsilon", "warmup",
+    "replications", "batch_count", "seed", "ssc_sampling_stride", "sigma2", "output_dir",
+})
+_ARRIVAL_KEYS = frozenset({"kind", "nu", "a_max"})
+
+
+def _object(value, where: str, keys: frozenset | None = None) -> dict:
+    """``value``, which must be a JSON object, and one without keys outside
+    ``keys`` when those are given."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"malformed configuration: {where} must be an object")
+    unknown = sorted(set(value) - keys) if keys is not None else []
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}")
+    return value
 
 
 def _expand_cost(n: int, spec) -> np.ndarray:
@@ -115,8 +134,6 @@ class ExperimentConfig:
     replications: int = 1
     batch_count: int = 30
     seed: int = 0
-    matcher_mode: str = "auto"
-    exact_threshold: int = 7
     ssc_sampling_stride: int = 100
     sigma2: np.ndarray | None = None
     output_dir: str = "out"
@@ -137,21 +154,24 @@ class ExperimentConfig:
             raise ConfigError("replications must be >= 1")
         if self.slots < self.batch_count:
             raise ConfigError("slots must be >= batch_count")
+        off_grid = [e for e in self.slots_by_epsilon if e not in self.epsilon_grid]
+        if off_grid:
+            raise ConfigError(f"slots_by_epsilon keys not on epsilon_grid: {off_grid}")
         if self.sigma2 is not None and self.sigma2.shape != (self.n, self.n):
             raise ConfigError(f"sigma2 must be {self.n}x{self.n}")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError("output_dir must be a string")
         # Build every object a task builds, once: a bad value fails here and
         # not inside a worker process, and no arrival model is calibrated twice.
         # The config is frozen so that these runs cannot go stale.
         try:
             cost = CostMatrix(self.cost)
-            matcher = MatcherConfig(mode=self.matcher_mode, exact_threshold=self.exact_threshold)
             run_configs = [
                 simulator.RunConfig(
                     c=cost,
                     model=ArrivalModel(
                         kind=self.arrival_kind, nu=self.nu, epsilon=eps, a_max=self.a_max
                     ),
-                    matcher=matcher,
                     measured=self.slots_for(eps),
                     warmup=self.warmup,
                     batch_count=self.batch_count,
@@ -169,17 +189,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        _object(doc, "the document", _DOC_KEYS)
+        arrival = _object(doc.get("arrival", {}), "arrival", _ARRIVAL_KEYS)
         try:
             n = int(doc["n"])
             cost = _expand_cost(n, doc.get("cost", {"preset": "ones"}))
-            arrival = doc.get("arrival", {})
             kind = arrival.get("kind", "bernoulli")
             nu = _expand_nu(n, arrival.get("nu", "uniform"))
             default_amax = {"bernoulli": 1, "uniform-integer": 2, "truncated-poisson": 10}
             a_max = int(arrival.get("a_max", default_amax.get(kind, 1)))
-            sbe = {float(k): int(v) for k, v in doc.get("slots_by_epsilon", {}).items()}
+            by_eps = _object(doc.get("slots_by_epsilon", {}), "slots_by_epsilon")
+            sbe = {float(k): int(v) for k, v in by_eps.items()}
             sigma2 = doc.get("sigma2")
-            matcher = doc.get("matcher", {})
             return cls(
                 n=n,
                 cost=cost,
@@ -193,8 +214,6 @@ class ExperimentConfig:
                 replications=int(doc.get("replications", 1)),
                 batch_count=int(doc.get("batch_count", 30)),
                 seed=int(doc.get("seed", 0)),
-                matcher_mode=matcher.get("mode", "auto"),
-                exact_threshold=int(matcher.get("exact_threshold", 7)),
                 ssc_sampling_stride=int(doc.get("ssc_sampling_stride", 100)),
                 sigma2=None if sigma2 is None else np.array(sigma2, dtype=float),
                 output_dir=doc.get("output_dir", "out"),
@@ -216,7 +235,6 @@ class ExperimentConfig:
             "replications": self.replications,
             "batch_count": self.batch_count,
             "seed": self.seed,
-            "matcher": {"mode": self.matcher_mode, "exact_threshold": self.exact_threshold},
             "ssc_sampling_stride": self.ssc_sampling_stride,
             "sigma2": None if self.sigma2 is None else self.sigma2.tolist(),
             "output_dir": self.output_dir,
@@ -425,12 +443,10 @@ def cmd_lower_bound(args) -> int:
     cfg = load_config(args.config)
     if cfg.n > 3:
         n_fact = math.factorial(cfg.n)
-        print(
-            f"error: n={cfg.n} requires ({n_fact})! = factorial({n_fact}) priority orderings; "
-            "the enumeration is only feasible for n <= 3",
-            file=sys.stderr,
+        raise InfeasibleError(
+            f"n={cfg.n} requires ({n_fact})! = factorial({n_fact}) priority orderings; "
+            "the enumeration is only feasible for n <= 3"
         )
-        return 3
     cost = cfg.cost_matrix()
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

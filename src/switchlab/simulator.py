@@ -16,11 +16,11 @@ single-slot reference.  Both use the matcher kernel of ``scheduling`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .scheduling import MatcherConfig, Schedule, argmax_kernel, break_tie, perm_table
+from .scheduling import Schedule, argmax_kernel, break_tie, matcher_mode, perm_table
 from .scheduling import hungarian_schedule, max_weight_schedule
 from .traffic import ArrivalModel
 from .wlinalg import CostMatrix, project_cone
@@ -96,12 +96,10 @@ class SlotRecord:
 class RunConfig:
     c: CostMatrix
     model: ArrivalModel
-    matcher: MatcherConfig = field(default_factory=MatcherConfig)
     measured: int = 1_000_000
     warmup: int | None = None
     batch_count: int = 30
     ssc_stride: int = 100
-    collect_ssc: bool = True
     record_slots: bool = False
     seed: int = 0
     stream_key: tuple[int, ...] = ()
@@ -192,7 +190,6 @@ def step(
     state: QueueState,
     model: ArrivalModel,
     cost: CostMatrix,
-    matcher: MatcherConfig,
     arrival_rng: np.random.Generator,
     tiebreak_rng: np.random.Generator,
     schedule: Schedule | None = None,
@@ -202,7 +199,7 @@ def step(
     controlled tests."""
     Q = state.Q
     n = Q.shape[0]
-    s = schedule if schedule is not None else max_weight_schedule(Q, cost, matcher, tiebreak_rng)
+    s = schedule if schedule is not None else max_weight_schedule(Q, cost, tiebreak_rng)
     A = np.asarray(arrivals, dtype=np.int64) if arrivals is not None else model.sample(arrival_rng)
     q = Q.ravel().tolist()
     unused = _serve(q, A.ravel().tolist(), [i * n + j for i, j in enumerate(s.perm)])
@@ -250,14 +247,14 @@ def run(cfg: RunConfig) -> RunStats:
     Deterministic given (seed, stream_key).  The measured window is trimmed
     down to a multiple of batch_count so every batch has equal size.
     """
-    cost, model, matcher = cfg.c, cfg.model, cfg.matcher
+    cost, model = cfg.c, cfg.model
     n = cost.n
     n2 = n * n
     warmup = cfg.warmup if cfg.warmup is not None else default_warmup(model.epsilon)
     batch = cfg.measured // cfg.batch_count
     measured = batch * cfg.batch_count
     arrival_rng, tiebreak_rng = derive_rngs(cfg.seed, cfg.stream_key)
-    mode = matcher.resolved_mode(n)
+    mode = matcher_mode(n)
 
     c_flat = cost.flat.tolist()
     Q = [0] * n2
@@ -283,8 +280,8 @@ def run(cfg: RunConfig) -> RunStats:
 
     total = warmup + measured
     done = 0
-    # SSC is sampled at every ssc_stride-th measured slot; -1 never comes.
-    next_sample = warmup if cfg.collect_ssc else -1
+    # SSC is sampled at every ssc_stride-th measured slot.
+    next_sample = warmup
     while done < total:
         blk_n = min(_BLOCK, total - done)
         ablk_np = model.sample_block(arrival_rng, blk_n)

@@ -92,11 +92,15 @@ def _calibrate_trunc_poisson(target: float, a_max: int) -> float:
     return brentq(lambda r: _trunc_poisson_mean(r, a_max) - target, 1e-300, hi, xtol=1e-15, rtol=1e-15)
 
 
+def _per_distinct(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` of every entry of ``x``, evaluated once per distinct value."""
+    values, inverse = np.unique(x, return_inverse=True)
+    return np.array([fn(float(v)) for v in values])[inverse].reshape(x.shape)
+
+
 def _trunc_poisson_rates(mean: np.ndarray, a_max: int) -> np.ndarray:
     """Calibrated rate of every entry of ``mean``, one solve per distinct value."""
-    values, inverse = np.unique(mean, return_inverse=True)
-    rates = np.array([_calibrate_trunc_poisson(float(m), a_max) for m in values])
-    return rates[inverse].reshape(mean.shape)
+    return _per_distinct(lambda m: _calibrate_trunc_poisson(m, a_max), mean)
 
 
 def law_moments(kind: str, mean: np.ndarray, a_max: int, rates: np.ndarray | None = None) -> MomentVector:
@@ -118,11 +122,8 @@ def law_moments(kind: str, mean: np.ndarray, a_max: int, rates: np.ndarray | Non
     elif kind == "truncated-poisson":
         if rates is None:
             rates = _trunc_poisson_rates(mean, a_max)
-        k = np.arange(a_max + 1)
-        second = np.empty_like(mean)
-        for idx, r in np.ndenumerate(rates):
-            p = _trunc_poisson_pmf(float(r), a_max)
-            second[idx] = float((k * k * p).sum())
+        k2 = np.arange(a_max + 1) ** 2
+        second = _per_distinct(lambda r: float((k2 * _trunc_poisson_pmf(r, a_max)).sum()), rates)
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return MomentVector(mean=mean, var=second - mean**2, second_moment=second)
@@ -190,9 +191,6 @@ class ArrivalModel:
     @property
     def mean(self) -> np.ndarray:
         return (1.0 - self.epsilon) * self.nu
-
-    def with_epsilon(self, epsilon: float) -> "ArrivalModel":
-        return ArrivalModel(kind=self.kind, nu=self.nu, epsilon=epsilon, a_max=self.a_max)
 
     def moments(self) -> MomentVector:
         """Exact mean / variance / second moment of the configured law."""

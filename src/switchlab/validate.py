@@ -4,8 +4,9 @@ Each check re-verifies one published invariant of the package at a size that
 keeps the whole suite comfortably under a few minutes.  Failures are
 reported, not raised; the suite result carries per-check timing.
 
-``matcher`` is injectable so a deliberately corrupted scheduler can be used
-to prove the suite actually detects faults.
+``matcher`` (called as ``matcher(Q, cost, rng)``) is injectable so a
+deliberately corrupted scheduler can be used to prove the suite actually
+detects faults.
 """
 
 from __future__ import annotations
@@ -103,20 +104,22 @@ def _check_solver(rng) -> tuple[bool, str]:
 
 
 def _check_matcher(rng, matcher_fn) -> tuple[bool, str]:
+    # Hungarian serves n > EXACT_MAX_N only; it is held to enumeration here.
+    solvers = {"hungarian": scheduling.hungarian_schedule, "matcher": matcher_fn}
     for _ in range(150):
         n = int(rng.integers(2, 6))
         cost = _random_cost(rng, n)
         Q = rng.integers(0, 10, (n, n))
-        cfg = scheduling.MatcherConfig(mode="hungarian")
-        s = matcher_fn(Q, cost, cfg, rng)
-        if sorted(s.perm) != list(range(n)):
-            return False, f"not a permutation: {s.perm}"
         best = scheduling.enumerate_argmax(Q, cost)[0]
-        w_got = scheduling.schedule_weight(s, Q, cost)
         w_best = scheduling.schedule_weight(best, Q, cost)
-        if w_got != w_best:
-            return False, f"weight {w_got} != enumerated optimum {w_best}"
-    return True, "hungarian weight matches enumeration on 150 random cases"
+        for name, solve in solvers.items():
+            s = solve(Q, cost, rng)
+            if sorted(s.perm) != list(range(n)):
+                return False, f"{name}: not a permutation: {s.perm}"
+            w_got = scheduling.schedule_weight(s, Q, cost)
+            if w_got != w_best:
+                return False, f"{name}: weight {w_got} != enumerated optimum {w_best}"
+    return True, "hungarian and matcher weights match enumeration on 150 random cases"
 
 
 def _check_tie_uniformity(rng, matcher_fn) -> tuple[bool, str]:
@@ -124,12 +127,11 @@ def _check_tie_uniformity(rng, matcher_fn) -> tuple[bool, str]:
 
     n = 3
     cost = wlinalg.CostMatrix(np.ones((n, n)))
-    cfg = scheduling.MatcherConfig(mode="exact-enumeration")
     Q = np.zeros((n, n), dtype=int)
     counts: dict[tuple[int, ...], int] = {}
     draws = 12_000
     for _ in range(draws):
-        s = matcher_fn(Q, cost, cfg, rng)
+        s = matcher_fn(Q, cost, rng)
         counts[s.perm] = counts.get(s.perm, 0) + 1
     obs = [counts.get(p.perm, 0) for p in scheduling.all_schedules(n)]
     p = chisquare(obs).pvalue
@@ -195,9 +197,9 @@ def _check_simulator(rng, matcher_fn) -> tuple[bool, str]:
     state = simulator.QueueState.empty(cost.n)
     replay = []
     for rec in stats.records:
-        s = matcher_fn(state.Q, cost, cfg.matcher, tiebreak_rng)
+        s = matcher_fn(state.Q, cost, tiebreak_rng)
         state, got = simulator.step(
-            state, model, cost, cfg.matcher, arrival_rng, tiebreak_rng, schedule=s, arrivals=rec.A
+            state, model, cost, arrival_rng, tiebreak_rng, schedule=s, arrivals=rec.A
         )
         replay.append((got.S, got.U, state.Q))
     S, U, Q_next = (np.array(x) for x in zip(*replay))

@@ -34,7 +34,6 @@ __all__ = [
     "SingularMatrixError",
     "cdot",
     "cnorm2",
-    "cnorm",
     "solve_dense",
     "project_space",
     "project_cone",
@@ -81,10 +80,6 @@ class CostMatrix:
     @property
     def cmax(self) -> float:
         return float(self.c.max())
-
-    @property
-    def cmin(self) -> float:
-        return float(self.c.min())
 
     @cached_property
     def _generators(self) -> np.ndarray:
@@ -142,10 +137,6 @@ def cnorm2(x, cost: CostMatrix) -> float:
     n = cost.n
     g = _as_grid(x, n)
     return float((cost.c * g * g).sum())
-
-
-def cnorm(x, cost: CostMatrix) -> float:
-    return float(np.sqrt(cnorm2(x, cost)))
 
 
 def unit_vector(n: int, i: int, j: int) -> np.ndarray:

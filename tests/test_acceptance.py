@@ -31,7 +31,6 @@ from switchlab.analytics import (
 )
 from switchlab.cli import ExperimentConfig, resolve_jobs, run_sweep
 from switchlab.scheduling import (
-    MatcherConfig,
     all_schedules,
     enumerate_argmax,
     hungarian_schedule,
@@ -248,12 +247,11 @@ def test_criterion_9_matching_correctness():
         assert schedule_weight(s, Q, cost) == schedule_weight(best, Q, cost)
     n = 3
     cost = CostMatrix(np.ones((n, n)))
-    cfg = MatcherConfig(mode="exact-enumeration")
     Q0 = np.zeros((n, n), dtype=int)
     counts: dict[tuple[int, ...], int] = {}
     draws = 100_000
     for _ in range(draws):
-        s = max_weight_schedule(Q0, cost, cfg, rng)
+        s = max_weight_schedule(Q0, cost, rng)
         counts[s.perm] = counts.get(s.perm, 0) + 1
     obs = [counts.get(p.perm, 0) for p in all_schedules(n)]
     pval = float(chisquare(obs).pvalue)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +50,16 @@ def test_config_round_trip(tmp_path):
         cfg.seed = 99  # the runs built from the config would keep the old seed
 
 
+def test_readme_config_example_parses(tmp_path):
+    # The documented schema must stay the one the parser accepts, key for key.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Configuration", 1)[1]
+    doc = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    doc["output_dir"] = str(tmp_path / "out")
+    cfg = ExperimentConfig.from_dict(doc)
+    assert cfg.to_dict().keys() == doc.keys()
+
+
 def test_cost_presets(tmp_path):
     cfg = ExperimentConfig.from_dict(base_doc(tmp_path, cost={"preset": "checker", "a": 1, "b": 3}))
     assert cfg.cost.tolist() == [[1.0, 3.0], [3.0, 1.0]]
@@ -78,13 +89,21 @@ def test_config_validation(tmp_path):
 @pytest.mark.parametrize(
     "change",
     [
-        {"matcher": {"mode": "greedy"}},
+        {"matcher": {"mode": "auto"}},
         {"arrival": {"kind": "weird", "nu": "uniform"}},
         {"arrival": {"kind": "bernoulli", "nu": [[1.0, 0.0], [0.0, 1.0]]}},
         {"batch_count": 10},
         {"sigma2": [[0.25]]},
+        {"arrival": "bernoulli"},
+        {"slots_by_epsilon": [1]},
+        {"slotz": 5},
+        {"arrival": {"kind": "bernoulli", "nu": "uniform", "rate": 0.5}},
+        {"slots_by_epsilon": {"0.3": 100}},
+        {"output_dir": 5},
     ],
-    ids=["matcher-mode", "arrival-kind", "nu-zero-entry", "batch-count", "sigma2-shape"],
+    ids=["matcher-mode", "arrival-kind", "nu-zero-entry", "batch-count", "sigma2-shape",
+         "arrival-not-object", "slots-by-epsilon-not-object", "unknown-key",
+         "unknown-arrival-key", "slots-by-epsilon-off-grid", "output-dir-type"],
 )
 def test_cmd_sweep_bad_config_exits_before_workers(tmp_path, capsys, change):
     path = write_cfg(tmp_path, base_doc(tmp_path, **change))
@@ -256,7 +275,9 @@ def test_cmd_lower_bound(tmp_path):
 def test_cmd_lower_bound_infeasible_n(tmp_path, capsys):
     path = write_cfg(tmp_path, base_doc(tmp_path, n=4))
     assert cli.main(["lower-bound", "--config", path]) == 3
-    assert "orderings" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible request:")
+    assert "orderings" in err
 
 
 # -------- simulate command --------
@@ -294,11 +315,12 @@ def test_validate_suite_passes_and_detects_corruption():
     results = validate_mod.run_suite(seed=1, out=lambda *_: None)
     assert all(r.ok for r in results)
 
-    def broken_matcher(Q, cost, cfg, rng):
+    def broken_matcher(Q, cost, rng):
         return Schedule(tuple(range(cost.n)))  # always the identity
 
     bad = validate_mod.run_suite(seed=1, matcher=broken_matcher, out=lambda *_: None)
     failed = {r.name for r in bad if not r.ok}
+    assert "matcher agreement with enumeration" in failed
     assert "simulator slot invariants" in failed
 
 

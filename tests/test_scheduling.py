@@ -5,7 +5,6 @@ import pytest
 from scipy.stats import chisquare
 
 from switchlab.scheduling import (
-    MatcherConfig,
     Schedule,
     _gather_kernel,
     _loop_kernel,
@@ -13,6 +12,7 @@ from switchlab.scheduling import (
     argmax_kernel,
     enumerate_argmax,
     hungarian_schedule,
+    matcher_mode,
     max_weight_schedule,
     perm_table,
     schedule_weight,
@@ -29,7 +29,6 @@ def test_schedule_must_be_permutation():
         Schedule((0, 0))
     s = Schedule((1, 0))
     assert s.as_matrix().tolist() == [[0, 1], [1, 0]]
-    assert s.pairs() == [(0, 1), (1, 0)]
 
 
 def test_weight_zero_queue():
@@ -55,10 +54,9 @@ def test_weight_dimension_mismatch():
 
 def test_max_weight_hand_cases(rng):
     Q = np.array([[5, 1], [2, 3]])
-    cfg = MatcherConfig()
-    assert max_weight_schedule(Q, ones_cost(2), cfg, rng).perm == (0, 1)
+    assert max_weight_schedule(Q, ones_cost(2), rng).perm == (0, 1)
     c = CostMatrix([[1, 4], [4, 1]])
-    assert max_weight_schedule(Q, c, cfg, rng).perm == (1, 0)
+    assert max_weight_schedule(Q, c, rng).perm == (1, 0)
 
 
 def test_enumerate_argmax_cases():
@@ -73,7 +71,7 @@ def test_enumerate_argmax_cases():
 
 def test_enumerate_argmax_threshold():
     with pytest.raises(ValueError):
-        enumerate_argmax(np.zeros((4, 4)), ones_cost(4), exact_threshold=3)
+        enumerate_argmax(np.zeros((8, 8)), ones_cost(8))
 
 
 def _kernel_cases(n, rng):
@@ -98,8 +96,9 @@ def _kernel_cases(n, rng):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_gather_kernel_matches_loop(n):
-    # n = 8 is reachable with exact_threshold >= 8, and is the first n at which
-    # numpy's pairwise summation would reorder a row-contiguous sum.
+    # n = 8 is the first n at which numpy's pairwise summation would reorder a
+    # row-contiguous sum; argmax_kernel takes it although run serves it by
+    # Hungarian, so a raised EXACT_MAX_N stays covered.
     rng = np.random.default_rng(40 + n)
     table = perm_table(n)
     seen_ties = 0
@@ -113,17 +112,15 @@ def test_gather_kernel_matches_loop(n):
 
 
 def test_tie_breaking_uniform(rng):
-    cfg = MatcherConfig(mode="exact-enumeration")
     c = ones_cost(2)
     Q = np.zeros((2, 2), dtype=int)
     counts = {(0, 1): 0, (1, 0): 0}
     for _ in range(4000):
-        counts[max_weight_schedule(Q, c, cfg, rng).perm] += 1
+        counts[max_weight_schedule(Q, c, rng).perm] += 1
     assert chisquare(list(counts.values())).pvalue > 1e-4
 
 
 def test_hungarian_matches_enumeration(rng):
-    cfg_h = MatcherConfig(mode="hungarian")
     for _ in range(200):
         n = int(rng.integers(2, 8))
         c = CostMatrix(rng.uniform(0.1, 10.0, (n, n)))
@@ -132,18 +129,18 @@ def test_hungarian_matches_enumeration(rng):
         assert sorted(s.perm) == list(range(n))
         best = enumerate_argmax(Q, c)[0]
         assert schedule_weight(s, Q, c) == schedule_weight(best, Q, c)
-        s2 = max_weight_schedule(Q, c, cfg_h, rng)
+        s2 = max_weight_schedule(Q, c, rng)
         assert schedule_weight(s2, Q, c) == schedule_weight(best, Q, c)
 
 
 def test_auto_mode_switches_to_hungarian(rng):
-    cfg = MatcherConfig(mode="auto", exact_threshold=3)
-    assert cfg.resolved_mode(3) == "exact-enumeration"
-    assert cfg.resolved_mode(4) == "hungarian"
-    Q = rng.integers(0, 10, (4, 4))
-    c = CostMatrix(rng.uniform(0.5, 2.0, (4, 4)))
-    s = max_weight_schedule(Q, c, cfg, rng)
-    assert schedule_weight(s, Q, c) == schedule_weight(enumerate_argmax(Q, c)[0], Q, c)
+    assert matcher_mode(7) == "exact-enumeration"
+    assert matcher_mode(8) == "hungarian"
+    Q = rng.integers(0, 10, (8, 8))
+    c = CostMatrix(rng.uniform(0.5, 2.0, (8, 8)))
+    s = max_weight_schedule(Q, c, rng)
+    best = perm_table(8).perms[argmax_kernel(c)(Q.ravel().tolist())[0]]
+    assert schedule_weight(s, Q, c) == schedule_weight(Schedule(best), Q, c)
 
 
 def test_bumping_scheduled_queue_never_lowers_optimum(rng):
@@ -158,10 +155,3 @@ def test_bumping_scheduled_queue_never_lowers_optimum(rng):
         Q2[i, best.perm[i]] += int(rng.integers(1, 5))
         w1 = schedule_weight(enumerate_argmax(Q2, c)[0], Q2, c)
         assert w1 >= w0
-
-
-def test_matcher_config_validation():
-    with pytest.raises(ValueError):
-        MatcherConfig(mode="greedy")
-    with pytest.raises(ValueError):
-        MatcherConfig(exact_threshold=1)
