@@ -27,6 +27,7 @@ import argparse
 import hashlib
 import json
 import math
+import numbers
 import os
 import sys
 import warnings
@@ -85,15 +86,38 @@ def _object(value, where: str, keys: frozenset | None = None) -> dict:
     return value
 
 
+def _integer(value, where: str) -> int:
+    """``value``, which must be a whole number: an integer, or a float with an
+    integral value.  A fraction or a boolean is an error, not truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
+# The keys of a "cost" object: "matrix" alone (so not with "preset"), or
+# "preset" with the parameters of that preset.
+_COST_KEYS = {
+    "matrix": frozenset({"matrix"}),
+    "ones": frozenset({"preset"}),
+    "checker": frozenset({"preset", "a", "b"}),
+    "random": frozenset({"preset", "seed", "lo", "hi"}),
+}
+
+
 def _expand_cost(n: int, spec) -> np.ndarray:
     if not isinstance(spec, dict):
         raise ConfigError("cost must be an object with 'preset' or 'matrix'")
-    if "matrix" in spec:
+    preset = "matrix" if "matrix" in spec else spec.get("preset")
+    if preset not in _COST_KEYS:
+        raise ConfigError(f"unknown cost preset {preset!r}")
+    _object(spec, f"cost ({preset})", _COST_KEYS[preset])
+    if preset == "matrix":
         m = np.array(spec["matrix"], dtype=float)
         if m.shape != (n, n):
             raise ConfigError(f"cost matrix must be {n}x{n}")
         return m
-    preset = spec.get("preset")
     if preset == "ones":
         return np.ones((n, n))
     if preset == "checker":
@@ -104,11 +128,9 @@ def _expand_cost(n: int, spec) -> np.ndarray:
                 if (i + j) % 2:
                     m[i, j] = b
         return m
-    if preset == "random":
-        rng = np.random.default_rng(int(spec.get("seed", 0)))
-        lo, hi = float(spec.get("lo", 0.5)), float(spec.get("hi", 2.0))
-        return rng.uniform(lo, hi, (n, n))
-    raise ConfigError(f"unknown cost preset {preset!r}")
+    rng = np.random.default_rng(_integer(spec.get("seed", 0), "cost seed"))
+    lo, hi = float(spec.get("lo", 0.5)), float(spec.get("hi", 2.0))
+    return rng.uniform(lo, hi, (n, n))
 
 
 def _expand_nu(n: int, spec) -> np.ndarray:
@@ -192,14 +214,14 @@ class ExperimentConfig:
         _object(doc, "the document", _DOC_KEYS)
         arrival = _object(doc.get("arrival", {}), "arrival", _ARRIVAL_KEYS)
         try:
-            n = int(doc["n"])
+            n = _integer(doc["n"], "n")
             cost = _expand_cost(n, doc.get("cost", {"preset": "ones"}))
             kind = arrival.get("kind", "bernoulli")
             nu = _expand_nu(n, arrival.get("nu", "uniform"))
             default_amax = {"bernoulli": 1, "uniform-integer": 2, "truncated-poisson": 10}
-            a_max = int(arrival.get("a_max", default_amax.get(kind, 1)))
+            a_max = _integer(arrival.get("a_max", default_amax.get(kind, 1)), "arrival a_max")
             by_eps = _object(doc.get("slots_by_epsilon", {}), "slots_by_epsilon")
-            sbe = {float(k): int(v) for k, v in by_eps.items()}
+            sbe = {float(k): _integer(v, f"slots_by_epsilon[{k!r}]") for k, v in by_eps.items()}
             sigma2 = doc.get("sigma2")
             return cls(
                 n=n,
@@ -208,13 +230,15 @@ class ExperimentConfig:
                 nu=nu,
                 a_max=a_max,
                 epsilon_grid=[float(e) for e in doc["epsilon_grid"]],
-                slots=int(doc.get("slots", 1_000_000)),
+                slots=_integer(doc.get("slots", 1_000_000), "slots"),
                 slots_by_epsilon=sbe,
-                warmup=None if doc.get("warmup") is None else int(doc["warmup"]),
-                replications=int(doc.get("replications", 1)),
-                batch_count=int(doc.get("batch_count", 30)),
-                seed=int(doc.get("seed", 0)),
-                ssc_sampling_stride=int(doc.get("ssc_sampling_stride", 100)),
+                warmup=None if doc.get("warmup") is None else _integer(doc["warmup"], "warmup"),
+                replications=_integer(doc.get("replications", 1), "replications"),
+                batch_count=_integer(doc.get("batch_count", 30), "batch_count"),
+                seed=_integer(doc.get("seed", 0), "seed"),
+                ssc_sampling_stride=_integer(
+                    doc.get("ssc_sampling_stride", 100), "ssc_sampling_stride"
+                ),
                 sigma2=None if sigma2 is None else np.array(sigma2, dtype=float),
                 output_dir=doc.get("output_dir", "out"),
             )

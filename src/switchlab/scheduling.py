@@ -39,9 +39,11 @@ __all__ = [
 ]
 
 # Largest n served by exact enumeration, which breaks ties uniformly.  Measured
-# on a 2-vCPU host: exact `simulator.run` reaches 28.5k slots/s at n = 7 and
-# Hungarian 24k at n = 8, where one exact kernel call (40320 permutations)
-# takes 0.84 ms against 9 us for one Hungarian solve.
+# on a 2-vCPU host (checker(1, 2) costs, Bernoulli arrivals, eps = 0.05): exact
+# `simulator.run` reaches about 34k slots/s at n = 7 and the Hungarian engine
+# about 92k at n = 8, where one exact kernel call (40320 permutations) takes
+# 0.84 ms against 9 us for one Hungarian solve.  Speed alone would lower this
+# bound; it stays for the uniform tie breaking.
 EXACT_MAX_N = 7
 
 
@@ -193,22 +195,30 @@ def enumerate_argmax(Q, cost: CostMatrix) -> list[Schedule]:
     return [Schedule(perms[p]) for p in argmax_kernel(cost)(Q.ravel().tolist())]
 
 
-def hungarian_schedule(Q, cost: CostMatrix, rng: np.random.Generator) -> Schedule:
-    """Maximum-weight assignment via the Hungarian method.
+def _hungarian_perm(W: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A maximum-weight permutation of the (n, n) weight matrix ``W = c * Q``
+    by the Hungarian method (Kuhn, 1955), as an array: row i is matched to
+    column perm[i].
 
-    A random row/column shuffle is applied first so that, under ties, which
-    maximizer comes back is not a fixed artifact of index order.
+    Rows, then columns, are shuffled first, one ``rng.permutation(n)`` draw
+    each, so that under ties which maximizer comes back is not a fixed
+    artifact of index order.  ``hungarian_schedule`` and ``simulator.run``
+    share this one implementation.
     """
-    Q = _check_dims(Q, cost)
-    n = cost.n
+    n = len(W)
     pr = rng.permutation(n)
     pc = rng.permutation(n)
-    W = (cost.c * Q)[np.ix_(pr, pc)]
-    rows, cols = linear_sum_assignment(W, maximize=True)
-    perm = [0] * n
-    for r, col in zip(rows, cols):
-        perm[pr[r]] = int(pc[col])
-    return Schedule(tuple(perm))
+    rows, cols = linear_sum_assignment(W[pr[:, None], pc], maximize=True)
+    perm = np.empty(n, dtype=np.intp)
+    perm[pr[rows]] = pc[cols]
+    return perm
+
+
+def hungarian_schedule(Q, cost: CostMatrix, rng: np.random.Generator) -> Schedule:
+    """Maximum-weight assignment via the Hungarian method, with a random
+    row/column pre-shuffle (``_hungarian_perm``)."""
+    Q = _check_dims(Q, cost)
+    return Schedule(tuple(_hungarian_perm(cost.c * Q, rng).tolist()))
 
 
 def max_weight_schedule(Q, cost: CostMatrix, rng: np.random.Generator) -> Schedule:

@@ -9,8 +9,11 @@ and
 Arrivals of a slot are servable within the slot, which is exactly what makes
 <Q(t+1), U(t)> vanish identically.  ``run`` drives a long replication with
 batch-means statistics and periodic cone-projection sampling; ``step`` is the
-single-slot reference.  Both use the matcher kernel of ``scheduling`` and
-``_serve``, so ``step`` replays a recorded ``run`` slot for slot.
+single-slot reference.  Both use the matcher kernels of ``scheduling``, and
+``step`` updates the queues with ``_serve``, as the exact engine of ``run``
+does; the array update of the Hungarian engine gives the same queues.  So
+``step`` replays a recorded ``run`` slot for slot, and above EXACT_MAX_N it
+checks the array update against the list one.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scheduling import Schedule, argmax_kernel, break_tie, matcher_mode, perm_table
-from .scheduling import hungarian_schedule, max_weight_schedule
+from .scheduling import _hungarian_perm, max_weight_schedule
+# Not called here; perfbench/spans.py traces the Hungarian solver at this name.
+from .scheduling import hungarian_schedule
 from .traffic import ArrivalModel
 from .wlinalg import CostMatrix, project_cone
 
@@ -167,6 +172,24 @@ def _weighted_sum(c_flat: list[float], q: list[int]) -> float:
     return w
 
 
+def _serve_array(q: np.ndarray, a: np.ndarray, idxs: np.ndarray) -> np.ndarray:
+    """``_serve`` on the flat int64 queue array ``q``, in place, by array
+    operations; ``idxs`` are the served flat indices, one per row.  Returns
+    the flat indices of unused service, in row order as ``_serve`` lists them."""
+    q += a
+    s = q[idxs]
+    q[idxs] = s - (s > 0)
+    return idxs[s == 0]
+
+
+def _weighted_sum_array(c_flat: np.ndarray, q: np.ndarray) -> float:
+    """``_weighted_sum`` of the flat queue array ``q``.  ``np.add.accumulate``
+    adds the terms one at a time in row-major order, the loop's own additions
+    (costs are > 0 and q >= 0, so the loop's first 0.0 + term is term), and
+    gives the same bits; a sum, dot or matmul may add in another order."""
+    return float(np.add.accumulate(c_flat * q)[-1])
+
+
 def _indicator(idxs, n: int) -> np.ndarray:
     """(n, n) 0/1 matrix with ones at the flat indices ``idxs``."""
     m = np.zeros(n * n, dtype=np.int64)
@@ -246,6 +269,12 @@ def run(cfg: RunConfig) -> RunStats:
 
     Deterministic given (seed, stream_key).  The measured window is trimmed
     down to a multiple of batch_count so every batch has equal size.
+
+    The engine follows ``matcher_mode(n)``.  Exact enumeration keeps the
+    queues in a Python list (``_serve``, ``_weighted_sum``), which beats
+    array operations on its few queues; the Hungarian engine keeps them in a
+    flat int64 array (``_serve_array``, ``_weighted_sum_array``).  Only the
+    state, the schedule, the slot update and the weighted sum differ.
     """
     cost, model = cfg.c, cfg.model
     n = cost.n
@@ -256,21 +285,28 @@ def run(cfg: RunConfig) -> RunStats:
     arrival_rng, tiebreak_rng = derive_rngs(cfg.seed, cfg.stream_key)
     mode = matcher_mode(n)
 
-    c_flat = cost.flat.tolist()
-    Q = [0] * n2
-    q_start = np.zeros(n2, dtype=np.int64)
-
     use_exact = mode == "exact-enumeration"
     if use_exact:
         pidx = perm_table(n).pidx
         ties_of = argmax_kernel(cost)
-    uniform = _uniforms(tiebreak_rng).__next__
+        uniform = _uniforms(tiebreak_rng).__next__
+        c_flat = cost.flat.tolist()
+        Q = [0] * n2
+        serve, weighted_sum = _serve, _weighted_sum
+    else:
+        row_start = np.arange(n, dtype=np.intp) * n  # flat index of (i, 0)
+        c_flat = cost.flat
+        Q = np.zeros(n2, dtype=np.int64)
+        serve, weighted_sum = _serve_array, _weighted_sum_array
+    q_start = np.zeros(n2, dtype=np.int64)
 
     w_acc = _BatchAcc(batch)
     u_acc = _BatchAcc(batch)
     arrivals_total = np.zeros(n2, dtype=np.int64)
     unused_total = np.zeros(n2, dtype=np.int64)
-    sched_count: dict[tuple[int, ...], int] = {}
+    # Measured slots per schedule, keyed by its served flat indices: the
+    # tuple itself (exact) or the bytes of the index array (Hungarian).
+    sched_count: dict = {}
     qu_violation = 0.0
 
     perp_samples: list[float] = []
@@ -284,12 +320,11 @@ def run(cfg: RunConfig) -> RunStats:
     next_sample = warmup
     while done < total:
         blk_n = min(_BLOCK, total - done)
-        ablk_np = model.sample_block(arrival_rng, blk_n)
+        ablk = model.sample_block(arrival_rng, blk_n)
         off = max(0, warmup - done)
         if off < blk_n:
-            arrivals_total += ablk_np[off:].sum(axis=0)
-        ablk = ablk_np.tolist()
-        for A in ablk:
+            arrivals_total += ablk[off:].sum(axis=0)
+        for A in ablk.tolist() if use_exact else ablk:
             m_idx = done - warmup
             in_measured = m_idx >= 0
             if m_idx == 0:
@@ -301,23 +336,22 @@ def run(cfg: RunConfig) -> RunStats:
 
             # -- schedule from Q(t)
             if use_exact:
-                idxs = pidx[break_tie(ties_of(Q), uniform)]
+                idxs = key = pidx[break_tie(ties_of(Q), uniform)]
             else:
-                qmat = np.array(Q, dtype=np.int64).reshape(n, n)
-                perm = hungarian_schedule(qmat, cost, tiebreak_rng).perm
-                idxs = tuple(i * n + perm[i] for i in range(n))
+                idxs = row_start + _hungarian_perm((c_flat * Q).reshape(n, n), tiebreak_rng)
+                key = idxs.tobytes()
 
             # -- arrivals, unused service, update; <Q(t+1), U(t)> on the result
-            unused = _serve(Q, A, idxs)
+            unused = serve(Q, A, idxs)
             for k in unused:
                 qu_violation = max(qu_violation, abs(c_flat[k] * Q[k]))
 
             if in_measured:
                 for k in unused:
                     unused_total[k] += 1
-                w_acc.add(_weighted_sum(c_flat, Q))
+                w_acc.add(weighted_sum(c_flat, Q))
                 u_acc.add(float(len(unused)))
-                sched_count[idxs] = sched_count.get(idxs, 0) + 1
+                sched_count[key] = sched_count.get(key, 0) + 1
 
             if sample_now:
                 proj_b = project_cone(q_before, cost)
@@ -334,7 +368,7 @@ def run(cfg: RunConfig) -> RunStats:
                         A=np.array(A, dtype=np.int64).reshape(n, n),
                         S=_indicator(idxs, n),
                         U=_indicator(unused, n),
-                        weighted_qsum=_weighted_sum(c_flat, Q),
+                        weighted_qsum=weighted_sum(c_flat, Q),
                         perp_norm=perp_samples[-1] if sample_now else None,
                         par_norm=par_samples[-1] if sample_now else None,
                         drift_W=drift_samples[-1] if sample_now else None,
@@ -345,8 +379,8 @@ def run(cfg: RunConfig) -> RunStats:
 
     q_end = np.array(Q, dtype=np.int64)
     s_total = np.zeros(n2, dtype=np.int64)
-    for idxs, cnt in sched_count.items():
-        s_total[list(idxs)] += cnt
+    for key, cnt in sched_count.items():
+        s_total[list(key) if use_exact else np.frombuffer(key, dtype=np.intp)] += cnt
     conservation_ok = bool(
         np.array_equal(q_end - q_start, arrivals_total - s_total + unused_total)
     )

@@ -86,6 +86,37 @@ def test_config_validation(tmp_path):
         ExperimentConfig.from_dict(base_doc(tmp_path, replications=0))
 
 
+@pytest.mark.parametrize("bad", [2.5, True, False, "30"], ids=repr)
+@pytest.mark.parametrize(
+    "where",
+    ["n", "slots", "slots_by_epsilon", "warmup", "replications", "batch_count", "seed",
+     "ssc_sampling_stride", "a_max", "cost seed"],
+)
+def test_integer_fields_reject_fractions_and_booleans(tmp_path, where, bad):
+    doc = base_doc(tmp_path, cost={"preset": "random", "seed": 9},
+                   arrival={"kind": "uniform-integer", "nu": "uniform", "a_max": 2},
+                   slots_by_epsilon={"0.2": 40_000})
+    if where == "slots_by_epsilon":
+        doc[where] = {"0.2": bad}
+    elif where == "a_max":
+        doc["arrival"]["a_max"] = bad
+    elif where == "cost seed":
+        doc["cost"]["seed"] = bad
+    else:
+        doc[where] = bad
+    with pytest.raises(cli.ConfigError, match="must be an integer"):
+        ExperimentConfig.from_dict(doc)
+
+
+def test_integral_floats_are_integers(tmp_path):
+    doc = base_doc(tmp_path, n=2.0, slots=30_000.0, replications=2.0, seed=17.0,
+                   slots_by_epsilon={"0.2": 4e4})
+    cfg = ExperimentConfig.from_dict(doc)
+    assert cfg.to_dict() == ExperimentConfig.from_dict(base_doc(
+        tmp_path, slots_by_epsilon={"0.2": 40_000})).to_dict()
+    assert type(cfg.n) is int and type(cfg.slots_for(0.2)) is int
+
+
 @pytest.mark.parametrize(
     "change",
     [
@@ -100,10 +131,19 @@ def test_config_validation(tmp_path):
         {"arrival": {"kind": "bernoulli", "nu": "uniform", "rate": 0.5}},
         {"slots_by_epsilon": {"0.3": 100}},
         {"output_dir": 5},
+        {"cost": {"preset": "checker", "A": 3}},
+        {"cost": {"preset": "ones", "matrix": [[1.0, 1.0], [1.0, 1.0]]}},
+        {"cost": {"matrix": [[1.0, 1.0], [1.0, 1.0]], "seed": 3}},
+        {"cost": {"preset": "random", "seed": 1, "a": 2}},
+        {"n": 2.7},
+        {"slots": True},
     ],
     ids=["matcher-mode", "arrival-kind", "nu-zero-entry", "batch-count", "sigma2-shape",
          "arrival-not-object", "slots-by-epsilon-not-object", "unknown-key",
-         "unknown-arrival-key", "slots-by-epsilon-off-grid", "output-dir-type"],
+         "unknown-arrival-key", "slots-by-epsilon-off-grid", "output-dir-type",
+         "cost-key-of-other-preset", "cost-matrix-and-preset", "cost-matrix-extra-key",
+         "cost-random-with-checker-key",
+         "n-fraction", "slots-bool"],
 )
 def test_cmd_sweep_bad_config_exits_before_workers(tmp_path, capsys, change):
     path = write_cfg(tmp_path, base_doc(tmp_path, **change))

@@ -157,20 +157,23 @@ def test_run_hungarian_mode_matches_dynamics():
 
 
 @pytest.mark.parametrize(
-    "cost, eps",
+    "cost, model",
     [
-        (CostMatrix([[1.0, 2.0], [2.0, 1.0]]), 0.1),
-        (checker(4), 0.1),
-        (checker(5), 0.1),
-        (CostMatrix(np.random.default_rng(8).uniform(0.5, 2.0, (8, 8))), 0.2),
+        (CostMatrix([[1.0, 2.0], [2.0, 1.0]]), bernoulli(0.1)),
+        (checker(4), bernoulli(0.1, 4)),
+        (checker(5), bernoulli(0.1, 5)),
+        (CostMatrix(np.random.default_rng(8).uniform(0.5, 2.0, (8, 8))), bernoulli(0.2, 8)),
+        (CostMatrix(np.random.default_rng(9).uniform(0.5, 2.0, (9, 9))),
+         ArrivalModel.truncated_poisson(uniform_nu(9), 0.2, a_max=3)),
     ],
-    ids=["n2-exact", "n4-checker-exact", "n5-checker-exact", "n8-hungarian"],
+    ids=["n2-exact", "n4-checker-exact", "n5-checker-exact", "n8-hungarian",
+         "n9-hungarian-poisson"],
 )
-def test_step_replay_matches_run_bit_for_bit(cost, eps):
+def test_step_replay_matches_run_bit_for_bit(cost, model):
     n = cost.n
     exact = matcher_mode(n) == "exact-enumeration"
     cfg = RunConfig(
-        c=cost, model=bernoulli(eps, n),
+        c=cost, model=model,
         measured=3_000, warmup=300, seed=31, stream_key=(2, 1), record_slots=True,
     )
     stats = run(cfg)
@@ -189,6 +192,10 @@ def test_step_replay_matches_run_bit_for_bit(cost, eps):
         assert got.weighted_qsum == rec.weighted_qsum, f"weighted sum differs at slot {rec.t}"
         assert cdot(state.Q, got.U, cost) == 0.0
     assert not exact or ties > 100  # the exact cases exercise the tie-break
+    # Multi-packet arrivals reach the slot update only through truncated-Poisson
+    # arrivals; the n = 9 case must see them.
+    multi = sum(int(rec.A.max() > 1) for rec in stats.records)
+    assert model.kind == "bernoulli" or multi > 100
 
 
 @pytest.mark.parametrize(
@@ -212,6 +219,49 @@ def test_exact_run_pinned(n, measured, expected):
     stats = run(cfg)
     mean, stderr, unused, departures = expected
     assert stats.matcher_mode == "exact-enumeration"
+    assert stats.mean_weighted_qsum == mean
+    assert stats.stderr_weighted_qsum == stderr
+    assert stats.unused_service_rate == unused
+    assert np.array_equal(stats.departure_rate, np.array(departures) / measured)
+
+
+@pytest.mark.parametrize(
+    "cost, model, measured, expected",
+    [
+        (ones_cost(8), bernoulli(0.1, 8), 3000,
+         (58.13533333333334, 2.193092118937459, 0.7349999999999999, [
+            [334, 333, 300, 354, 360, 346, 380, 345], [352, 334, 311, 343, 333, 346, 365, 365],
+            [337, 361, 315, 346, 339, 351, 342, 343], [346, 370, 331, 344, 333, 325, 301, 330],
+            [329, 326, 347, 356, 346, 344, 346, 298], [323, 341, 381, 381, 356, 332, 325, 334],
+            [349, 344, 356, 300, 356, 339, 339, 358], [314, 360, 331, 339, 343, 348, 315, 324]])),
+        (CostMatrix(np.random.default_rng(12).uniform(0.5, 2.0, (12, 12))),
+         ArrivalModel.truncated_poisson(uniform_nu(12), 0.1, a_max=4), 1500,
+         (97.17347684637315, 4.797818767862547, 1.1913333333333334, [
+            [111, 105, 111, 114, 106, 90, 113, 107, 108, 100, 129, 110],
+            [101, 91, 127, 114, 150, 129, 116, 112, 111, 119, 103, 131],
+            [104, 98, 132, 116, 119, 113, 127, 117, 107, 126, 98, 135],
+            [95, 102, 131, 124, 124, 123, 113, 103, 99, 132, 99, 122],
+            [111, 106, 112, 114, 123, 104, 96, 125, 117, 113, 138, 108],
+            [110, 121, 113, 110, 105, 98, 98, 122, 86, 122, 111, 117],
+            [110, 114, 106, 98, 123, 122, 110, 115, 120, 128, 109, 123],
+            [113, 116, 112, 110, 116, 90, 106, 95, 117, 113, 117, 116],
+            [110, 109, 116, 116, 99, 106, 96, 133, 111, 119, 114, 104],
+            [114, 112, 111, 126, 117, 106, 122, 106, 107, 120, 103, 113],
+            [120, 105, 112, 107, 106, 126, 116, 118, 106, 123, 96, 105],
+            [123, 128, 104, 123, 105, 111, 106, 110, 112, 130, 86, 99]])),
+    ],
+    ids=["n8-unit-bernoulli", "n12-random-poisson"],
+)
+def test_hungarian_run_pinned(cost, model, measured, expected):
+    # Values produced by the list-state engine, which ran the Hungarian
+    # solver on a Python queue list; the array slot update must reproduce
+    # them bit for bit.
+    cfg = RunConfig(c=cost, model=model, measured=measured, warmup=300,
+                    seed=17, stream_key=(0, 1))
+    stats = run(cfg)
+    mean, stderr, unused, departures = expected
+    assert stats.matcher_mode == "hungarian"
+    assert stats.conservation_ok
     assert stats.mean_weighted_qsum == mean
     assert stats.stderr_weighted_qsum == stderr
     assert stats.unused_service_rate == unused
