@@ -56,7 +56,6 @@ __all__ = [
 class ZetaResult:
     zeta: np.ndarray
     method: str
-    cross_error: float | None = None
 
     def __post_init__(self):
         z = self.zeta
@@ -155,8 +154,6 @@ def cross_validated_zeta(cost: CostMatrix) -> ZetaReport:
     p = zeta_projection(cost)
     g = zeta_gmatrix(cost)
     err = float(np.abs(p.zeta - g.zeta).max())
-    p.cross_error = err
-    g.cross_error = err
     return ZetaReport(projection=p, gmatrix=g, cross_error=err)
 
 

@@ -70,7 +70,7 @@ class InfeasibleError(ValueError):
 # "arrival" object; to_dict writes exactly these.
 _DOC_KEYS = frozenset({
     "n", "cost", "arrival", "epsilon_grid", "slots", "slots_by_epsilon", "warmup",
-    "replications", "batch_count", "seed", "ssc_sampling_stride", "sigma2", "output_dir",
+    "replications", "seed", "ssc_sampling_stride", "output_dir",
 })
 _ARRIVAL_KEYS = frozenset({"kind", "nu", "a_max"})
 
@@ -94,6 +94,14 @@ def _integer(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     return int(value)
+
+
+def _number(value, where: str) -> float:
+    """``value``, which must be a JSON number; a string or a boolean is an
+    error, not converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return float(value)
 
 
 # The keys of a "cost" object: "matrix" alone (so not with "preset"), or
@@ -154,10 +162,8 @@ class ExperimentConfig:
     slots_by_epsilon: dict[float, int] = field(default_factory=dict)
     warmup: int | None = None
     replications: int = 1
-    batch_count: int = 30
     seed: int = 0
     ssc_sampling_stride: int = 100
-    sigma2: np.ndarray | None = None
     output_dir: str = "out"
 
     def __post_init__(self):
@@ -165,6 +171,9 @@ class ExperimentConfig:
             raise ConfigError("n must be >= 2")
         if not self.epsilon_grid:
             raise ConfigError("epsilon_grid must be nonempty")
+        repeated = sorted({e for e in self.epsilon_grid if self.epsilon_grid.count(e) > 1})
+        if repeated:
+            raise ConfigError(f"epsilon_grid repeats {repeated}")
         for eps in self.epsilon_grid:
             if not (0.0 < eps < 1.0):
                 raise ConfigError(f"epsilon {eps} outside (0, 1): load must be stable")
@@ -174,13 +183,9 @@ class ExperimentConfig:
             raise ConfigError("nu must have unit row and column sums")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
-        if self.slots < self.batch_count:
-            raise ConfigError("slots must be >= batch_count")
         off_grid = [e for e in self.slots_by_epsilon if e not in self.epsilon_grid]
         if off_grid:
             raise ConfigError(f"slots_by_epsilon keys not on epsilon_grid: {off_grid}")
-        if self.sigma2 is not None and self.sigma2.shape != (self.n, self.n):
-            raise ConfigError(f"sigma2 must be {self.n}x{self.n}")
         if not isinstance(self.output_dir, str):
             raise ConfigError("output_dir must be a string")
         # Build every object a task builds, once: a bad value fails here and
@@ -196,7 +201,6 @@ class ExperimentConfig:
                     ),
                     measured=self.slots_for(eps),
                     warmup=self.warmup,
-                    batch_count=self.batch_count,
                     ssc_stride=self.ssc_sampling_stride,
                     seed=self.seed,
                     stream_key=(ei, 0),
@@ -222,24 +226,21 @@ class ExperimentConfig:
             a_max = _integer(arrival.get("a_max", default_amax.get(kind, 1)), "arrival a_max")
             by_eps = _object(doc.get("slots_by_epsilon", {}), "slots_by_epsilon")
             sbe = {float(k): _integer(v, f"slots_by_epsilon[{k!r}]") for k, v in by_eps.items()}
-            sigma2 = doc.get("sigma2")
             return cls(
                 n=n,
                 cost=cost,
                 arrival_kind=kind,
                 nu=nu,
                 a_max=a_max,
-                epsilon_grid=[float(e) for e in doc["epsilon_grid"]],
+                epsilon_grid=[_number(e, "epsilon_grid entry") for e in doc["epsilon_grid"]],
                 slots=_integer(doc.get("slots", 1_000_000), "slots"),
                 slots_by_epsilon=sbe,
                 warmup=None if doc.get("warmup") is None else _integer(doc["warmup"], "warmup"),
                 replications=_integer(doc.get("replications", 1), "replications"),
-                batch_count=_integer(doc.get("batch_count", 30), "batch_count"),
                 seed=_integer(doc.get("seed", 0), "seed"),
                 ssc_sampling_stride=_integer(
                     doc.get("ssc_sampling_stride", 100), "ssc_sampling_stride"
                 ),
-                sigma2=None if sigma2 is None else np.array(sigma2, dtype=float),
                 output_dir=doc.get("output_dir", "out"),
             )
         except ConfigError:
@@ -257,10 +258,8 @@ class ExperimentConfig:
             "slots_by_epsilon": {repr(k): v for k, v in self.slots_by_epsilon.items()},
             "warmup": self.warmup,
             "replications": self.replications,
-            "batch_count": self.batch_count,
             "seed": self.seed,
             "ssc_sampling_stride": self.ssc_sampling_stride,
-            "sigma2": None if self.sigma2 is None else self.sigma2.tolist(),
             "output_dir": self.output_dir,
         }
 
@@ -279,12 +278,6 @@ class ExperimentConfig:
     def run_config(self, eps_index: int, record_slots: bool = False) -> simulator.RunConfig:
         """Replication 0 at grid point ``eps_index`` (stream key (eps_index, 0))."""
         return replace(self._run_configs[eps_index], record_slots=record_slots)
-
-    def sigma2_limit(self) -> np.ndarray:
-        """Variance vector entering the heavy-traffic constant (load -> 1)."""
-        if self.sigma2 is not None:
-            return self.sigma2
-        return self._run_configs[0].model.limit_moments().var
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -306,20 +299,6 @@ def load_config(path: str, seed: int | None = None) -> ExperimentConfig:
 
 
 # -------- sweep orchestration --------
-
-
-def resolve_jobs(jobs: int | None) -> int:
-    if jobs is not None and jobs >= 1:
-        return jobs
-    env = os.environ.get("SWITCHLAB_JOBS")
-    if env:
-        try:
-            v = int(env)
-            if v >= 1:
-                return v
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> dict[float, list[simulator.RunStats]]:
@@ -383,7 +362,8 @@ def write_sweep_csv(path: Path, rows: list[dict]) -> None:
 def analytic_block(cfg: ExperimentConfig) -> dict:
     cost = cfg.cost_matrix()
     rep = analytics.cross_validated_zeta(cost)
-    sigma2 = cfg.sigma2_limit()
+    # The arrival variance at load -> 1, the same at every grid point.
+    sigma2 = cfg.model(cfg.epsilon_grid[0]).limit_moments().var
     limit = analytics.ht_limit(cost, sigma2)
     block = {
         "zeta_projection": rep.projection.zeta.tolist(),
@@ -439,9 +419,10 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = load_config(args.config, seed=args.seed)
-    jobs = resolve_jobs(args.jobs)
-    by_eps = run_sweep(cfg, jobs=jobs)
+    by_eps = run_sweep(cfg, jobs=args.jobs)
     rows = sweep_rows(cfg, by_eps)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -552,7 +533,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    results = validate.run_suite(seed=args.seed or 0, verbose=args.verbose)
+    results = validate.run_suite(seed=args.seed, verbose=args.verbose)
     ok = all(r.ok for r in results)
     total = sum(r.seconds for r in results)
     print(f"{sum(r.ok for r in results)}/{len(results)} checks passed in {total:.1f}s")
@@ -566,32 +547,29 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="path to JSON config")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--verbose", action="store_true")
-
-    p = sub.add_parser("zeta", help="analytic overlap fractions and heavy-traffic limit")
-    add_common(p)
-    p.set_defaults(fn=cmd_zeta)
-
-    p = sub.add_parser("sweep", help="epsilon sweep with parallel replications")
-    add_common(p)
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: cores)")
-    p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("lower-bound", help="priority-ordering lower bound (n <= 3)")
-    add_common(p)
-    p.set_defaults(fn=cmd_lower_bound)
-
-    p = sub.add_parser("simulate", help="single replication with optional trace dump")
-    add_common(p)
-    p.add_argument("--trace", default=None, help="write per-slot trace CSV here")
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("validate", help="run the invariant suite")
-    add_common(p, config_required=False)
-    p.set_defaults(fn=cmd_validate)
+    config = {"required": True, "help": "path to JSON config"}
+    seed = {"type": int, "default": None, "help": "override the config seed"}
+    verbose = {"action": "store_true"}
+    # Each subcommand registers the flags it reads, and no others.
+    for name, fn, help_, flags in [
+        ("zeta", cmd_zeta, "analytic overlap fractions and heavy-traffic limit",
+         {"--config": config, "--verbose": verbose}),
+        ("sweep", cmd_sweep, "epsilon sweep with parallel replications",
+         {"--config": config, "--seed": seed,
+          "--jobs": {"type": int, "default": os.cpu_count() or 1,
+                     "help": "worker processes (default: cores)"}}),
+        ("lower-bound", cmd_lower_bound, "priority-ordering lower bound (n <= 3)",
+         {"--config": config}),
+        ("simulate", cmd_simulate, "single replication with optional trace dump",
+         {"--config": config, "--seed": seed,
+          "--trace": {"default": None, "help": "write per-slot trace CSV here"}}),
+        ("validate", cmd_validate, "run the invariant suite",
+         {"--seed": {"type": int, "default": 0, "help": "suite seed"}, "--verbose": verbose}),
+    ]:
+        p = sub.add_parser(name, help=help_)
+        for flag, kw in flags.items():
+            p.add_argument(flag, **kw)
+        p.set_defaults(fn=fn)
 
     args = parser.parse_args(argv)
     try:

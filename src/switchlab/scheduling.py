@@ -68,12 +68,6 @@ class Schedule:
     def n(self) -> int:
         return len(self.perm)
 
-    def as_matrix(self) -> np.ndarray:
-        s = np.zeros((self.n, self.n), dtype=int)
-        for i, j in enumerate(self.perm):
-            s[i, j] = 1
-        return s
-
 
 # Smallest n at which argmax_kernel gathers with numpy instead of looping in
 # Python.  Measured per call, 2-vCPU host: 3.5 us loop against 4.0 us numpy at

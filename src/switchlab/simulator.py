@@ -45,6 +45,9 @@ __all__ = [
 
 ARRIVAL_STREAM = 0
 TIEBREAK_STREAM = 1
+# Batch means per replication, the standard choice (Schmeiser, "Batch size
+# effects in the analysis of simulation output", Oper. Res. 1982).
+BATCH_COUNT = 30
 _BLOCK = 65536
 # Samples within this relative distance of kappa count as perp norm >= kappa.
 _KAPPA_RTOL = 1e-9
@@ -92,9 +95,6 @@ class SlotRecord:
     S: np.ndarray
     U: np.ndarray
     weighted_qsum: float
-    perp_norm: float | None = None
-    par_norm: float | None = None
-    drift_W: float | None = None
 
 
 @dataclass
@@ -103,7 +103,6 @@ class RunConfig:
     model: ArrivalModel
     measured: int = 1_000_000
     warmup: int | None = None
-    batch_count: int = 30
     ssc_stride: int = 100
     record_slots: bool = False
     seed: int = 0
@@ -112,10 +111,8 @@ class RunConfig:
     def __post_init__(self):
         if self.c.n != self.model.n:
             raise ValueError("cost and arrival dimensions differ")
-        if self.batch_count < 20:
-            raise ValueError("batch_count must be >= 20 for trustworthy standard errors")
-        if self.measured < self.batch_count:
-            raise ValueError("measured slots must be >= batch_count")
+        if self.measured < BATCH_COUNT:
+            raise ValueError(f"measured slots must be >= {BATCH_COUNT}, one per batch")
         if self.warmup is not None and self.warmup < 0:
             raise ValueError("warmup must be >= 0")
         if self.ssc_stride < 1:
@@ -131,7 +128,6 @@ class RunStats:
     matcher_mode: str
     warmup_slots: int
     measured_slots: int
-    batch_count: int
     mean_weighted_qsum: float
     stderr_weighted_qsum: float
     unused_service_rate: float
@@ -225,12 +221,13 @@ def step(
     s = schedule if schedule is not None else max_weight_schedule(Q, cost, tiebreak_rng)
     A = np.asarray(arrivals, dtype=np.int64) if arrivals is not None else model.sample(arrival_rng)
     q = Q.ravel().tolist()
-    unused = _serve(q, A.ravel().tolist(), [i * n + j for i, j in enumerate(s.perm)])
+    idxs = [i * n + j for i, j in enumerate(s.perm)]
+    unused = _serve(q, A.ravel().tolist(), idxs)
     Qn = np.array(q, dtype=np.int64).reshape(n, n)
     rec = SlotRecord(
         t=state.t,
         A=A,
-        S=s.as_matrix(),
+        S=_indicator(idxs, n),
         U=_indicator(unused, n),
         weighted_qsum=_weighted_sum(cost.flat.tolist(), q),
     )
@@ -268,7 +265,7 @@ def run(cfg: RunConfig) -> RunStats:
     """Simulate one replication and summarize it.
 
     Deterministic given (seed, stream_key).  The measured window is trimmed
-    down to a multiple of batch_count so every batch has equal size.
+    down to a multiple of BATCH_COUNT so every batch has equal size.
 
     The engine follows ``matcher_mode(n)``.  Exact enumeration keeps the
     queues in a Python list (``_serve``, ``_weighted_sum``), which beats
@@ -280,8 +277,8 @@ def run(cfg: RunConfig) -> RunStats:
     n = cost.n
     n2 = n * n
     warmup = cfg.warmup if cfg.warmup is not None else default_warmup(model.epsilon)
-    batch = cfg.measured // cfg.batch_count
-    measured = batch * cfg.batch_count
+    batch = cfg.measured // BATCH_COUNT
+    measured = batch * BATCH_COUNT
     arrival_rng, tiebreak_rng = derive_rngs(cfg.seed, cfg.stream_key)
     mode = matcher_mode(n)
 
@@ -304,8 +301,11 @@ def run(cfg: RunConfig) -> RunStats:
     u_acc = _BatchAcc(batch)
     arrivals_total = np.zeros(n2, dtype=np.int64)
     unused_total = np.zeros(n2, dtype=np.int64)
-    # Measured slots per schedule, keyed by its served flat indices: the
-    # tuple itself (exact) or the bytes of the index array (Hungarian).
+    # Measured slots per served queue.  The exact engine first counts each
+    # schedule by its tuple of served flat indices (at most n! keys); the
+    # Hungarian engine writes each slot's served flat indices to a row of
+    # ``served_blk`` and counts the measured rows once per arrival block.
+    served = np.zeros(n2, dtype=np.int64)
     sched_count: dict = {}
     qu_violation = 0.0
 
@@ -319,11 +319,14 @@ def run(cfg: RunConfig) -> RunStats:
     # SSC is sampled at every ssc_stride-th measured slot.
     next_sample = warmup
     while done < total:
+        blk_start = done
         blk_n = min(_BLOCK, total - done)
         ablk = model.sample_block(arrival_rng, blk_n)
         off = max(0, warmup - done)
         if off < blk_n:
             arrivals_total += ablk[off:].sum(axis=0)
+        if not use_exact:
+            served_blk = np.empty((blk_n, n), dtype=np.intp)
         for A in ablk.tolist() if use_exact else ablk:
             m_idx = done - warmup
             in_measured = m_idx >= 0
@@ -336,10 +339,10 @@ def run(cfg: RunConfig) -> RunStats:
 
             # -- schedule from Q(t)
             if use_exact:
-                idxs = key = pidx[break_tie(ties_of(Q), uniform)]
+                idxs = pidx[break_tie(ties_of(Q), uniform)]
             else:
                 idxs = row_start + _hungarian_perm((c_flat * Q).reshape(n, n), tiebreak_rng)
-                key = idxs.tobytes()
+                served_blk[done - blk_start] = idxs
 
             # -- arrivals, unused service, update; <Q(t+1), U(t)> on the result
             unused = serve(Q, A, idxs)
@@ -351,7 +354,8 @@ def run(cfg: RunConfig) -> RunStats:
                     unused_total[k] += 1
                 w_acc.add(weighted_sum(c_flat, Q))
                 u_acc.add(float(len(unused)))
-                sched_count[key] = sched_count.get(key, 0) + 1
+                if use_exact:
+                    sched_count[idxs] = sched_count.get(idxs, 0) + 1
 
             if sample_now:
                 proj_b = project_cone(q_before, cost)
@@ -369,20 +373,18 @@ def run(cfg: RunConfig) -> RunStats:
                         S=_indicator(idxs, n),
                         U=_indicator(unused, n),
                         weighted_qsum=weighted_sum(c_flat, Q),
-                        perp_norm=perp_samples[-1] if sample_now else None,
-                        par_norm=par_samples[-1] if sample_now else None,
-                        drift_W=drift_samples[-1] if sample_now else None,
                     )
                 )
 
             done += 1
+        if not use_exact and off < blk_n:
+            served += np.bincount(served_blk[off:].ravel(), minlength=n2)
 
     q_end = np.array(Q, dtype=np.int64)
-    s_total = np.zeros(n2, dtype=np.int64)
-    for key, cnt in sched_count.items():
-        s_total[list(key) if use_exact else np.frombuffer(key, dtype=np.intp)] += cnt
+    for idxs, cnt in sched_count.items():
+        served[list(idxs)] += cnt
     conservation_ok = bool(
-        np.array_equal(q_end - q_start, arrivals_total - s_total + unused_total)
+        np.array_equal(q_end - q_start, arrivals_total - served + unused_total)
     )
 
     perp = np.asarray(perp_samples)
@@ -391,7 +393,7 @@ def run(cfg: RunConfig) -> RunStats:
     mean_perp = {
         r: (float(np.mean(perp**r)) if perp.size else float("nan")) for r in (1, 2, 4)
     }
-    departures = s_total - unused_total
+    departures = served - unused_total
 
     return RunStats(
         n=n,
@@ -401,7 +403,6 @@ def run(cfg: RunConfig) -> RunStats:
         matcher_mode=mode,
         warmup_slots=warmup,
         measured_slots=measured,
-        batch_count=cfg.batch_count,
         mean_weighted_qsum=w_acc.mean(),
         stderr_weighted_qsum=w_acc.stderr(),
         unused_service_rate=u_acc.mean(),
@@ -427,26 +428,19 @@ class DriftDiagnostics:
 
 
 def drift_diagnostics(
-    source,
+    stats: RunStats,
     cost: CostMatrix,
     a_max: int,
     kappa_grid=None,
 ) -> DriftDiagnostics:
-    """Boundedness and negative-drift diagnostics for the perpendicular norm.
+    """Boundedness and negative-drift diagnostics for the perpendicular norm,
+    from the perp-norm and drift samples of a run.
 
-    ``source`` is a RunStats or a list of SlotRecords carrying perp_norm /
-    drift_W.  Reports max |dW| against the bound n * sqrt(c_max) * a_max and
-    the conditional mean of dW given perp norm >= kappa for each kappa,
-    where a norm within 1e-9 relative of kappa counts as >= kappa.
+    Reports max |dW| against the bound n * sqrt(c_max) * a_max and the
+    conditional mean of dW given perp norm >= kappa for each kappa, where a
+    norm within 1e-9 relative of kappa counts as >= kappa.
     """
-    if isinstance(source, RunStats):
-        perp, drift = source.perp_samples, source.drift_samples
-    else:
-        vals = [(r.perp_norm, r.drift_W) for r in source if r.drift_W is not None]
-        if not vals:
-            raise ValueError("trace has no perp_norm / drift_W samples")
-        perp = np.array([v[0] for v in vals])
-        drift = np.array([v[1] for v in vals])
+    perp, drift = stats.perp_samples, stats.drift_samples
     if perp.size == 0:
         raise ValueError("no drift samples available")
     bound = cost.n * math.sqrt(cost.cmax) * a_max

@@ -13,6 +13,7 @@ Everything is seeded, so the suite is deterministic end to end.
 
 from __future__ import annotations
 
+import os
 import time
 import warnings
 
@@ -29,7 +30,7 @@ from switchlab.analytics import (
     universal_lower_bound,
     zeta_projection,
 )
-from switchlab.cli import ExperimentConfig, resolve_jobs, run_sweep
+from switchlab.cli import ExperimentConfig, run_sweep
 from switchlab.scheduling import (
     all_schedules,
     enumerate_argmax,
@@ -45,6 +46,7 @@ SEED = 20260809
 EPS_GRID = [0.1, 0.05, 0.02]
 SLOTS = {"0.1": 750_000, "0.05": 1_500_000, "0.02": 3_000_000}
 REPLICATIONS = 4
+JOBS = os.cpu_count() or 1
 
 
 def _sweep_config(cost_spec, eps_grid, output_dir="unused"):
@@ -58,7 +60,6 @@ def _sweep_config(cost_spec, eps_grid, output_dir="unused"):
             "slots_by_epsilon": {k: v for k, v in SLOTS.items() if float(k) in eps_grid},
             "warmup": None,
             "replications": REPLICATIONS,
-            "batch_count": 30,
             "seed": SEED,
             "ssc_sampling_stride": 100,
             "output_dir": output_dir,
@@ -70,9 +71,9 @@ def _sweep_config(cost_spec, eps_grid, output_dir="unused"):
 def unit_sweep():
     cfg = _sweep_config({"preset": "ones"}, EPS_GRID)
     t0 = time.perf_counter()
-    by_eps = run_sweep(cfg, jobs=resolve_jobs(None))
+    by_eps = run_sweep(cfg, jobs=JOBS)
     dt = time.perf_counter() - t0
-    print(f"\n[acceptance] unit sweep: {dt:.0f}s wall, jobs={resolve_jobs(None)}")
+    print(f"\n[acceptance] unit sweep: {dt:.0f}s wall, jobs={JOBS}")
     return cfg, by_eps
 
 
@@ -80,7 +81,7 @@ def unit_sweep():
 def weighted_sweep():
     cfg = _sweep_config({"matrix": [[1.0, 2.0], [2.0, 1.0]]}, [0.02])
     t0 = time.perf_counter()
-    by_eps = run_sweep(cfg, jobs=resolve_jobs(None))
+    by_eps = run_sweep(cfg, jobs=JOBS)
     dt = time.perf_counter() - t0
     print(f"\n[acceptance] weighted sweep: {dt:.0f}s wall")
     return cfg, by_eps

@@ -58,7 +58,6 @@ def test_zeta_routes_agree(rng):
         n = int(rng.integers(2, 7))
         rep = cross_validated_zeta(random_cost(rng, n))
         worst = max(worst, rep.cross_error)
-        assert rep.projection.cross_error == rep.cross_error
     assert worst <= 1e-9
 
 
@@ -202,7 +201,7 @@ def test_lower_bound_below_ht_limit():
 def _fake_stats(eps, par, perp, qsum):
     return RunStats(
         n=2, epsilon=eps, seed=0, stream_key=(), matcher_mode="exact-enumeration",
-        warmup_slots=0, measured_slots=1000, batch_count=20,
+        warmup_slots=0, measured_slots=1000,
         mean_weighted_qsum=qsum, stderr_weighted_qsum=0.01,
         unused_service_rate=2 * eps, stderr_unused_service=0.001,
         mean_perp_norm_r={1: perp, 2: perp**2, 4: perp**4},

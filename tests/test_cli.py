@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from switchlab import cli
-from switchlab.cli import ExperimentConfig, load_config, resolve_jobs, run_sweep
+from switchlab.cli import ExperimentConfig, load_config, run_sweep
 from switchlab.scheduling import Schedule
 from switchlab.traffic import ArrivalModel
 from switchlab import validate as validate_mod
@@ -84,12 +84,16 @@ def test_config_validation(tmp_path):
         )
     with pytest.raises(cli.ConfigError):
         ExperimentConfig.from_dict(base_doc(tmp_path, replications=0))
+    # Batch count and limit variance are fixed, not settable.
+    for key, value in (("batch_count", 30), ("sigma2", None)):
+        with pytest.raises(cli.ConfigError, match=rf"unknown key\(s\) in the document: '{key}'"):
+            ExperimentConfig.from_dict(base_doc(tmp_path, **{key: value}))
 
 
 @pytest.mark.parametrize("bad", [2.5, True, False, "30"], ids=repr)
 @pytest.mark.parametrize(
     "where",
-    ["n", "slots", "slots_by_epsilon", "warmup", "replications", "batch_count", "seed",
+    ["n", "slots", "slots_by_epsilon", "warmup", "replications", "seed",
      "ssc_sampling_stride", "a_max", "cost seed"],
 )
 def test_integer_fields_reject_fractions_and_booleans(tmp_path, where, bad):
@@ -137,13 +141,16 @@ def test_integral_floats_are_integers(tmp_path):
         {"cost": {"preset": "random", "seed": 1, "a": 2}},
         {"n": 2.7},
         {"slots": True},
+        {"epsilon_grid": [0.3, 0.3]},
+        {"epsilon_grid": ["0.3"]},
+        {"epsilon_grid": [0.3, True]},
     ],
     ids=["matcher-mode", "arrival-kind", "nu-zero-entry", "batch-count", "sigma2-shape",
          "arrival-not-object", "slots-by-epsilon-not-object", "unknown-key",
          "unknown-arrival-key", "slots-by-epsilon-off-grid", "output-dir-type",
          "cost-key-of-other-preset", "cost-matrix-and-preset", "cost-matrix-extra-key",
          "cost-random-with-checker-key",
-         "n-fraction", "slots-bool"],
+         "n-fraction", "slots-bool", "epsilon-repeated", "epsilon-string", "epsilon-bool"],
 )
 def test_cmd_sweep_bad_config_exits_before_workers(tmp_path, capsys, change):
     path = write_cfg(tmp_path, base_doc(tmp_path, **change))
@@ -157,13 +164,28 @@ def test_load_config_missing(tmp_path):
         load_config(str(tmp_path / "absent.json"))
 
 
-def test_resolve_jobs_env(monkeypatch):
-    monkeypatch.delenv("SWITCHLAB_JOBS", raising=False)
-    assert resolve_jobs(3) == 3
-    monkeypatch.setenv("SWITCHLAB_JOBS", "5")
-    assert resolve_jobs(None) == 5
-    monkeypatch.setenv("SWITCHLAB_JOBS", "junk")
-    assert resolve_jobs(None) >= 1
+@pytest.mark.parametrize(
+    "command, extra",
+    [("zeta", ["--seed", "99"]), ("lower-bound", ["--seed", "99"]), ("sweep", ["--verbose"]),
+     ("lower-bound", ["--verbose"]), ("simulate", ["--verbose"]),
+     ("validate", ["--config", "cfg.json"])],
+    ids=["zeta-seed", "lower-bound-seed", "sweep-verbose", "lower-bound-verbose",
+         "simulate-verbose", "validate-config"],
+)
+def test_unread_flags_are_usage_errors(tmp_path, capsys, command, extra):
+    # A subcommand registers only the flags it reads; any other is refused.
+    config = [] if command == "validate" else ["--config", write_cfg(tmp_path, base_doc(tmp_path))]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *config, *extra])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+
+
+def test_cmd_sweep_jobs_below_one_exits_before_workers(tmp_path, capsys):
+    path = write_cfg(tmp_path, base_doc(tmp_path))
+    assert cli.main(["sweep", "--config", path, "--jobs", "0"]) == 1
+    assert capsys.readouterr().err.startswith("config error: --jobs must be >= 1")
+    assert not (tmp_path / "out").exists()
 
 
 # -------- zeta command --------

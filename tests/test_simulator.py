@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from switchlab.scheduling import Schedule, enumerate_argmax, matcher_mode
 from switchlab.simulator import (
     QueueState,
     RunConfig,
-    SlotRecord,
     default_warmup,
     derive_rngs,
     drift_diagnostics,
@@ -143,7 +144,6 @@ def test_run_queue_scaling_with_epsilon():
 def test_run_measured_trimmed_to_batches():
     stats = run(small_cfg(measured=20_011))
     assert stats.measured_slots == (20_011 // 30) * 30
-    assert stats.batch_count == 30
     assert stats.stderr_weighted_qsum > 0
 
 
@@ -270,8 +270,6 @@ def test_hungarian_run_pinned(cost, model, measured, expected):
 
 def test_run_config_validation():
     with pytest.raises(ValueError):
-        small_cfg(batch_count=10)
-    with pytest.raises(ValueError):
         small_cfg(measured=10)
     with pytest.raises(ValueError):
         small_cfg(warmup=-1)
@@ -300,30 +298,22 @@ def test_drift_bound_and_negative_conditional_drift():
     assert mean_drift < 0
 
 
-def test_drift_diagnostics_from_records():
-    stats = run(small_cfg(measured=2_000, warmup=100, record_slots=True, ssc_stride=5))
-    diag = drift_diagnostics(stats.records, ones_cost(), a_max=1)
-    assert diag.within_bound
-    with pytest.raises(ValueError):
-        drift_diagnostics([r for r in stats.records if r.drift_W is None],
-                          ones_cost(), a_max=1)
-
-
 def test_drift_conditioning_ignores_last_bit_at_tied_kappa():
     kappa = 2 / np.sqrt(3)
-    zero = np.zeros((2, 2), dtype=int)
+    stats = run(small_cfg(measured=300, warmup=100))
 
     def rows(perp):
-        recs = [SlotRecord(t=k, A=zero, S=zero, U=zero, weighted_qsum=0.0,
-                           perp_norm=p, drift_W=-float(k))
-                for k, p in enumerate(perp)]
-        return drift_diagnostics(recs, ones_cost(), a_max=1, kappa_grid=[kappa]).rows[0]
+        tied = dataclasses.replace(stats, perp_samples=np.array(perp),
+                                   drift_samples=-np.arange(float(len(perp))))
+        return drift_diagnostics(tied, ones_cost(), a_max=1, kappa_grid=[kappa]).rows[0]
 
     base = [1.0, kappa, kappa, 1.2, kappa * (1 - 1e-6)]
     assert rows(base)[1] == 3
     nudged = list(base)
     nudged[2] = np.nextafter(kappa, 0.0)
     assert rows(nudged) == rows(base)
+    with pytest.raises(ValueError, match="no drift samples"):
+        rows([])
 
 
 def test_queues_drain_without_arrivals():
