@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,6 @@ __all__ = [
     "ZetaReport",
     "OrderingBound",
     "LowerBoundResult",
-    "SscRow",
     "SscCurve",
     "zeta_projection",
     "zeta_gmatrix",
@@ -55,7 +53,6 @@ __all__ = [
 @dataclass
 class ZetaResult:
     zeta: np.ndarray
-    method: str
 
     def __post_init__(self):
         z = self.zeta
@@ -70,28 +67,26 @@ class ZetaReport:
     cross_error: float
 
 
-def _pair_indicator(n: int, i: int, j: int) -> np.ndarray:
-    """Length-(2n-1) vector flagging input port i and, for j < n-1, output
-    port j.  Serves both as Gram-form loading vector and G-system RHS."""
-    b = np.zeros(2 * n - 1)
-    b[i] = 1.0
-    if j < n - 1:
-        b[n + j] = 1.0
-    return b
+def _pair_indicators(n: int) -> np.ndarray:
+    """(2n-1, n^2) matrix whose column i*n + j flags input port i and, for
+    j < n-1, output port j.  The columns serve both as Gram-form loading
+    vectors and as G-system right-hand sides, one per queue pair."""
+    B = np.zeros((2 * n - 1, n, n))
+    k = np.arange(n)
+    B[k, k, :] = 1.0
+    B[n + k[:-1], :, k[:-1]] = 1.0
+    return B.reshape(2 * n - 1, n * n)
 
 
 def zeta_projection(cost: CostMatrix) -> ZetaResult:
     """Overlap fractions via the Gram system of the stacked generators that
-    ``project_space`` uses: a quadratic form of the pair indicator in the
-    inverse Gram."""
+    ``project_space`` uses: a quadratic form of each pair indicator in the
+    inverse Gram, all pairs in one solve."""
     n = cost.n
     _, cho = cost._space_system
-    zeta = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            b = _pair_indicator(n, i, j)
-            zeta[i, j] = float(b @ cho_solve(cho, b)) / cost.c[i, j]
-    return ZetaResult(zeta=zeta, method="projection")
+    B = _pair_indicators(n)
+    zeta = (B * cho_solve(cho, B)).sum(axis=0).reshape(n, n) / cost.c
+    return ZetaResult(zeta=zeta)
 
 
 def _g_matrix(cost: CostMatrix) -> np.ndarray:
@@ -99,7 +94,7 @@ def _g_matrix(cost: CostMatrix) -> np.ndarray:
 
     Unknown order is (x_1..x_{n-1}, y_1..y_{n-1}, z); equations are the n
     input-port pairings followed by the first n-1 output-port pairings.  The
-    right-hand side of pair (i, j) is ``_pair_indicator(n, i, j)``.
+    right-hand side of pair (i, j) is column i*n + j of ``_pair_indicators``.
     """
     n = cost.n
     r = 1.0 / cost.c
@@ -122,31 +117,26 @@ def _g_matrix(cost: CostMatrix) -> np.ndarray:
 def zeta_gmatrix(cost: CostMatrix) -> ZetaResult:
     """Overlap fractions via the complement-ansatz linear system.
 
-    Solving G u = rhs(i, j) yields the ansatz coefficients; the unnormalized
+    One solve of G U = B over all pair right-hand sides gives the ansatz
+    coefficients u = U[:, i*n + j] of each pair (i, j); the unnormalized
     overlap is the coefficient combination carried by the (i, j) cell of the
     ansatz (z + x_i + y_j in the interior, x_i on the last column, y_j on the
     last row, -z in the corner), divided by c_ij to express it as an energy
     fraction.
     """
     n = cost.n
-    G = _g_matrix(cost)
-    zeta = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            u = solve_dense(G, _pair_indicator(n, i, j))
-            x = u[: n - 1]
-            y = u[n - 1 : 2 * n - 2]
-            z = u[2 * n - 2]
-            if i < n - 1 and j < n - 1:
-                raw = z + x[i] + y[j]
-            elif i < n - 1:
-                raw = x[i]
-            elif j < n - 1:
-                raw = y[j]
-            else:
-                raw = -z
-            zeta[i, j] = raw / cost.c[i, j]
-    return ZetaResult(zeta=zeta, method="gmatrix")
+    m = n - 1
+    U = solve_dense(_g_matrix(cost), _pair_indicators(n)).reshape(2 * n - 1, n, n)
+    k = np.arange(m)
+    x = U[k, k, :]  # x[i, j]: x_i of pair (i, j), i < n-1
+    y = U[m + k, :, k].T  # y[i, j]: y_j of pair (i, j), j < n-1
+    z = U[2 * n - 2]
+    raw = np.empty((n, n))
+    raw[:m, :m] = z[:m, :m] + x[:, :m] + y[:m, :]
+    raw[:m, m] = x[:, m]
+    raw[m, :m] = y[m, :]
+    raw[m, m] = -z[m, m]
+    return ZetaResult(zeta=raw / cost.c)
 
 
 def cross_validated_zeta(cost: CostMatrix) -> ZetaReport:
@@ -269,7 +259,8 @@ def universal_lower_bound(cost: CostMatrix, model: ArrivalModel) -> LowerBoundRe
     per-queue class values, and minimizes over orderings -- the weighted
     queue sum of any policy lies above the cheapest vertex of the priority
     performance polytope.  Both the finite-load value and its epsilon -> 0
-    limit are reported.
+    limit are reported; class values clamped to 0 are counted in
+    ``clamped_classes``.
     """
     n = cost.n
     if n != model.n:
@@ -296,11 +287,6 @@ def universal_lower_bound(cost: CostMatrix, model: ArrivalModel) -> LowerBoundRe
                 value_limit=float((cost.c * vals_lim).sum()),
             )
         )
-    if clamped_total:
-        warnings.warn(
-            f"{clamped_total} negative class bounds clamped to 0 (vacuous but valid)",
-            stacklevel=2,
-        )
     return LowerBoundResult(
         epsilon=model.epsilon,
         schedules=scheds,
@@ -315,18 +301,7 @@ def universal_lower_bound(cost: CostMatrix, model: ArrivalModel) -> LowerBoundRe
 
 
 @dataclass
-class SscRow:
-    epsilon: float
-    perp_mean: float
-    perp2_mean: float
-    par_mean: float
-    scaled_weighted_qsum: float
-    stderr: float
-
-
-@dataclass
 class SscCurve:
-    rows: list[SscRow]
     par_slope: float
     perp_slope: float
 
@@ -350,27 +325,17 @@ def pool_runs(reps: list[RunStats]) -> dict:
 
 
 def ssc_curve(runs_by_eps: dict[float, list[RunStats]]) -> SscCurve:
-    """Per-load collapse summary with log-log slopes versus epsilon.
+    """Log-log slopes versus epsilon of the pooled parallel and perpendicular
+    norm means, fitted over the loads in decreasing order.
 
     The parallel component grows like 1/epsilon (slope near -1) while the
     perpendicular component stays bounded (slope near 0).
     """
     if len(runs_by_eps) < 3:
         raise ValueError("need at least 3 distinct epsilon values")
-    rows = []
-    for eps in sorted(runs_by_eps, reverse=True):
-        pooled = pool_runs(runs_by_eps[eps])
-        rows.append(
-            SscRow(
-                epsilon=eps,
-                perp_mean=pooled["perp_mean"],
-                perp2_mean=pooled["perp2_mean"],
-                par_mean=pooled["par_mean"],
-                scaled_weighted_qsum=eps * pooled["mean_weighted_qsum"],
-                stderr=eps * pooled["stderr_weighted_qsum"],
-            )
-        )
-    eps_log = np.log([r.epsilon for r in rows])
-    par_slope = float(np.polyfit(eps_log, np.log([r.par_mean for r in rows]), 1)[0])
-    perp_slope = float(np.polyfit(eps_log, np.log([r.perp_mean for r in rows]), 1)[0])
-    return SscCurve(rows=rows, par_slope=par_slope, perp_slope=perp_slope)
+    eps = sorted(runs_by_eps, reverse=True)
+    pooled = [pool_runs(runs_by_eps[e]) for e in eps]
+    eps_log = np.log(eps)
+    par_slope = float(np.polyfit(eps_log, np.log([p["par_mean"] for p in pooled]), 1)[0])
+    perp_slope = float(np.polyfit(eps_log, np.log([p["perp_mean"] for p in pooled]), 1)[0])
+    return SscCurve(par_slope=par_slope, perp_slope=perp_slope)

@@ -30,7 +30,6 @@ import math
 import numbers
 import os
 import sys
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -226,6 +225,8 @@ class ExperimentConfig:
             a_max = _integer(arrival.get("a_max", default_amax.get(kind, 1)), "arrival a_max")
             by_eps = _object(doc.get("slots_by_epsilon", {}), "slots_by_epsilon")
             sbe = {float(k): _integer(v, f"slots_by_epsilon[{k!r}]") for k, v in by_eps.items()}
+            if len(sbe) < len(by_eps):
+                raise ConfigError(f"slots_by_epsilon spells one epsilon twice: {list(by_eps)}")
             return cls(
                 n=n,
                 cost=cost,
@@ -377,13 +378,11 @@ def analytic_block(cfg: ExperimentConfig) -> dict:
         block["n2_closed_form"] = alt
         block["ht_limit_over_n2_closed_form"] = (limit / alt) if alt else None
     if cfg.n <= 3:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            lbs = {}
-            for eps in cfg.epsilon_grid:
-                lb = analytics.universal_lower_bound(cost, cfg.model(eps))
-                lbs[repr(eps)] = {"Qstar_eps": lb.Qstar_eps, "Qstar_limit": lb.Qstar_limit}
-            block["lower_bound"] = lbs
+        lbs = {}
+        for eps in cfg.epsilon_grid:
+            lb = analytics.universal_lower_bound(cost, cfg.model(eps))
+            lbs[repr(eps)] = {"Qstar_eps": lb.Qstar_eps, "Qstar_limit": lb.Qstar_limit}
+        block["lower_bound"] = lbs
     return block
 
 
@@ -456,24 +455,22 @@ def cmd_lower_bound(args) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     per_eps = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for eps in cfg.epsilon_grid:
-            lb = analytics.universal_lower_bound(cost, cfg.model(eps))
-            per_eps[repr(eps)] = {
-                "Qstar_eps": lb.Qstar_eps,
-                "Qstar_limit": lb.Qstar_limit,
-                "clamped_classes": lb.clamped_classes,
-                "per_ordering": [
-                    {
-                        "ordering": list(b.ordering),
-                        "value_eps": b.value_eps,
-                        "value_limit": b.value_limit,
-                    }
-                    for b in lb.per_ordering
-                ],
-            }
-            schedules = lb.schedules
+    for eps in cfg.epsilon_grid:
+        lb = analytics.universal_lower_bound(cost, cfg.model(eps))
+        per_eps[repr(eps)] = {
+            "Qstar_eps": lb.Qstar_eps,
+            "Qstar_limit": lb.Qstar_limit,
+            "clamped_classes": lb.clamped_classes,
+            "per_ordering": [
+                {
+                    "ordering": list(b.ordering),
+                    "value_eps": b.value_eps,
+                    "value_limit": b.value_limit,
+                }
+                for b in lb.per_ordering
+            ],
+        }
+        schedules = lb.schedules
     doc = {
         "config": cfg.to_dict(),
         "config_hash": cfg.config_hash(),

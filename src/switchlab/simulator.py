@@ -379,6 +379,9 @@ def run(cfg: RunConfig) -> RunStats:
             done += 1
         if not use_exact and off < blk_n:
             served += np.bincount(served_blk[off:].ravel(), minlength=n2)
+        # Drop the block, and the row view A into it, before the next one is
+        # sampled, so that two blocks are never live at once.
+        del ablk, A
 
     q_end = np.array(Q, dtype=np.int64)
     for idxs, cnt in sched_count.items():

@@ -144,13 +144,15 @@ def test_integral_floats_are_integers(tmp_path):
         {"epsilon_grid": [0.3, 0.3]},
         {"epsilon_grid": ["0.3"]},
         {"epsilon_grid": [0.3, True]},
+        {"slots_by_epsilon": {"0.2": 100, "0.20": 200}},
     ],
     ids=["matcher-mode", "arrival-kind", "nu-zero-entry", "batch-count", "sigma2-shape",
          "arrival-not-object", "slots-by-epsilon-not-object", "unknown-key",
          "unknown-arrival-key", "slots-by-epsilon-off-grid", "output-dir-type",
          "cost-key-of-other-preset", "cost-matrix-and-preset", "cost-matrix-extra-key",
          "cost-random-with-checker-key",
-         "n-fraction", "slots-bool", "epsilon-repeated", "epsilon-string", "epsilon-bool"],
+         "n-fraction", "slots-bool", "epsilon-repeated", "epsilon-string", "epsilon-bool",
+         "slots-by-epsilon-two-spellings"],
 )
 def test_cmd_sweep_bad_config_exits_before_workers(tmp_path, capsys, change):
     path = write_cfg(tmp_path, base_doc(tmp_path, **change))

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 
+from switchlab import simulator
 from switchlab.scheduling import Schedule, enumerate_argmax, matcher_mode
 from switchlab.simulator import (
     QueueState,
@@ -145,6 +147,25 @@ def test_run_measured_trimmed_to_batches():
     stats = run(small_cfg(measured=20_011))
     assert stats.measured_slots == (20_011 // 30) * 30
     assert stats.stderr_weighted_qsum > 0
+
+
+@pytest.mark.parametrize("n", [2, 8], ids=["exact", "hungarian"])
+def test_run_releases_each_arrival_block_before_sampling_the_next(monkeypatch, n):
+    # Two live blocks double the peak memory of long large-n runs.
+    monkeypatch.setattr(simulator, "_BLOCK", 64)
+    sample_block = ArrivalModel.sample_block
+    blocks, previous_alive = [], []
+
+    def tracked(self, rng, count):
+        previous_alive.append(bool(blocks) and blocks[-1]() is not None)
+        blk = sample_block(self, rng, count)
+        blocks.append(weakref.ref(blk))
+        return blk
+
+    monkeypatch.setattr(ArrivalModel, "sample_block", tracked)
+    run(small_cfg(c=ones_cost(n), model=bernoulli(0.3, n), measured=300, warmup=100))
+    assert len(blocks) == 7
+    assert not any(previous_alive)
 
 
 def test_run_hungarian_mode_matches_dynamics():
