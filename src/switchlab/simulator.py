@@ -49,6 +49,8 @@ TIEBREAK_STREAM = 1
 # effects in the analysis of simulation output", Oper. Res. 1982).
 BATCH_COUNT = 30
 _BLOCK = 65536
+# SSC sample pairs (Q(t), Q(t+1)) buffered per project_cone call.
+_SSC_PAIRS = 512
 # Samples within this relative distance of kappa count as perp norm >= kappa.
 _KAPPA_RTOL = 1e-9
 
@@ -198,6 +200,19 @@ def _wnorm(v: np.ndarray, c: np.ndarray) -> float:
     return math.sqrt(float(np.vdot(v, c * v)))
 
 
+def _project_pairs(pairs: np.ndarray, cost: CostMatrix, perp: list, par: list, drift: list):
+    """Project the buffered sample pairs, (k, 2, n^2) float rows of Q(t) and
+    Q(t+1), as one stack and append each pair's perp norm, par norm and perp
+    drift, in buffer order."""
+    n = cost.n
+    proj = project_cone(pairs.reshape(-1, n, n), cost)
+    for before, par_before, after in zip(proj.perp[0::2], proj.parallel[0::2], proj.perp[1::2]):
+        w_before = _wnorm(before, cost.c)
+        perp.append(w_before)
+        par.append(_wnorm(par_before, cost.c))
+        drift.append(_wnorm(after, cost.c) - w_before)
+
+
 def _uniforms(rng: np.random.Generator):
     """The tiebreak stream in blocks: rng.random(N) yields the same values as
     N calls to rng.random(), the draws ``max_weight_schedule`` takes."""
@@ -272,6 +287,10 @@ def run(cfg: RunConfig) -> RunStats:
     array operations on its few queues; the Hungarian engine keeps them in a
     flat int64 array (``_serve_array``, ``_weighted_sum_array``).  Only the
     state, the schedule, the slot update and the weighted sum differ.
+
+    SSC sampling copies Q(t) and Q(t+1) into a buffer of ``_SSC_PAIRS``
+    pairs, which is projected as one ``project_cone`` stack when full and
+    once after the last slot; it draws no random numbers.
     """
     cost, model = cfg.c, cfg.model
     n = cost.n
@@ -312,6 +331,9 @@ def run(cfg: RunConfig) -> RunStats:
     perp_samples: list[float] = []
     par_samples: list[float] = []
     drift_samples: list[float] = []
+    # Sampled states wait here and are projected _SSC_PAIRS pairs at a time.
+    ssc_pairs = np.empty((_SSC_PAIRS, 2, n2))
+    n_pairs = 0
     records: list[SlotRecord] | None = [] if cfg.record_slots else None
 
     total = warmup + measured
@@ -335,7 +357,7 @@ def run(cfg: RunConfig) -> RunStats:
             sample_now = done == next_sample
             if sample_now:
                 next_sample += cfg.ssc_stride
-                q_before = np.array(Q, dtype=float).reshape(n, n)
+                ssc_pairs[n_pairs, 0] = Q
 
             # -- schedule from Q(t)
             if use_exact:
@@ -358,12 +380,11 @@ def run(cfg: RunConfig) -> RunStats:
                     sched_count[idxs] = sched_count.get(idxs, 0) + 1
 
             if sample_now:
-                proj_b = project_cone(q_before, cost)
-                proj_a = project_cone(np.array(Q, dtype=float).reshape(n, n), cost)
-                w_before = _wnorm(proj_b.perp, cost.c)
-                perp_samples.append(w_before)
-                par_samples.append(_wnorm(proj_b.parallel, cost.c))
-                drift_samples.append(_wnorm(proj_a.perp, cost.c) - w_before)
+                ssc_pairs[n_pairs, 1] = Q
+                n_pairs += 1
+                if n_pairs == _SSC_PAIRS:
+                    _project_pairs(ssc_pairs, cost, perp_samples, par_samples, drift_samples)
+                    n_pairs = 0
 
             if records is not None:
                 records.append(
@@ -383,6 +404,8 @@ def run(cfg: RunConfig) -> RunStats:
         # sampled, so that two blocks are never live at once.
         del ablk, A
 
+    if n_pairs:
+        _project_pairs(ssc_pairs[:n_pairs], cost, perp_samples, par_samples, drift_samples)
     q_end = np.array(Q, dtype=np.int64)
     for idxs, cnt in sched_count.items():
         served[list(idxs)] += cnt

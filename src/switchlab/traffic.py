@@ -213,14 +213,14 @@ class ArrivalModel:
             q = 2.0 * mean / self.a_max
             on = rng.random((count, n2)) < q[None, :]
             vals = rng.integers(0, self.a_max + 1, size=(count, n2))
-            return np.where(on, vals, 0).astype(np.int64)
+            return np.where(on, vals, 0).astype(np.int64, copy=False)
         rates = self._rates.ravel()
         out = rng.poisson(lam=np.broadcast_to(rates, (count, n2)))
         bad = out > self.a_max
         while bad.any():
             out[bad] = rng.poisson(lam=np.broadcast_to(rates, (count, n2))[bad])
             bad = out > self.a_max
-        return out.astype(np.int64)
+        return out.astype(np.int64, copy=False)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """One slot of arrivals as an (n, n) integer matrix."""

@@ -160,6 +160,8 @@ def _check_traffic_moments(rng) -> tuple[bool, str]:
             return False, f"{m.kind}: empirical variance off"
         if int(x.max()) > m.a_max:
             return False, f"{m.kind}: support bound violated"
+        # Free this model's block before the next one is sampled.
+        del x
     return True, f"three kinds x {draws} samples within 4-sigma of analytic moments"
 
 

@@ -168,6 +168,34 @@ def test_run_releases_each_arrival_block_before_sampling_the_next(monkeypatch, n
     assert not any(previous_alive)
 
 
+@pytest.mark.parametrize("n", [2, 5, 8], ids=["n2-faces", "n5-nnls", "n8-hungarian"])
+def test_run_ssc_samples_match_single_grid_projections(monkeypatch, n):
+    # Sampled states are buffered and projected as stacks; a capacity of 7
+    # pairs and blocks of 96 slots put the flushes mid-block and leave a
+    # partial buffer at the end.  Every sample must equal the projection of
+    # the recorded Q(t) and Q(t+1) on its own.
+    monkeypatch.setattr(simulator, "_SSC_PAIRS", 7)
+    monkeypatch.setattr(simulator, "_BLOCK", 96)
+    c = CostMatrix(np.random.default_rng(n).uniform(0.5, 2.0, (n, n))) if n > 2 else ones_cost()
+    stats = run(small_cfg(c=c, model=bernoulli(0.1, n), measured=1_500, warmup=300,
+                          ssc_stride=13, record_slots=True))
+    Q = np.zeros((n, n), dtype=np.int64)
+    perp, par, drift = [], [], []
+    for rec in stats.records:
+        Q_next = Q + rec.A - rec.S + rec.U
+        if rec.t >= stats.warmup_slots and (rec.t - stats.warmup_slots) % 13 == 0:
+            before = project_cone(Q.astype(float), c)
+            after = project_cone(Q_next.astype(float), c)
+            perp.append(simulator._wnorm(before.perp, c.c))
+            par.append(simulator._wnorm(before.parallel, c.c))
+            drift.append(simulator._wnorm(after.perp, c.c) - perp[-1])
+        Q = Q_next
+    assert len(perp) % 7 and len(perp) > 3 * 7
+    assert stats.perp_samples.tolist() == perp
+    assert stats.par_samples.tolist() == par
+    assert stats.drift_samples.tolist() == drift
+
+
 def test_run_hungarian_mode_matches_dynamics():
     # n = 8 is the smallest switch served by Hungarian.  Its unused-service
     # stderr is about 0.03 at 5k slots, so 30k keep 0.05 near 4 stderr.

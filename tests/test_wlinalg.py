@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve
 
+from switchlab import wlinalg
 from switchlab.analytics import zeta_projection
 from switchlab.wlinalg import (
     CostMatrix,
@@ -277,17 +278,73 @@ def test_cone_integer_tie_example():
 
 
 def test_cone_second_solve_example():
-    # Column sums of c * x tie at 7, so the first solve drops wt_0, but the
-    # optimum with min(wt) = 0 has wt = (3/7, 0): the dual test rejects it
-    # and the second solve drops wt_1.
+    # Column sums of c * x tie at 7, so a first NNLS solve that drops wt_0
+    # misses the optimum, whose min(wt) = 0 falls on wt_1.  At n = 2 the face
+    # enumeration takes the face without wt_1 in one solve.
     c = CostMatrix([[1.0, 1.0], [1.0, 4.0]])
     x = np.array([[4.0, 3.0], [3.0, 1.0]])
     proj = project_cone(x, c)
-    assert proj.sweeps == 2
+    assert proj.sweeps == 1
     assert np.allclose(proj.w, [23 / 7, 20 / 7], rtol=1e-15)
     assert np.allclose(proj.wt, [3 / 7, 0.0], rtol=1e-15, atol=0.0)
     assert cnorm2(proj.perp, c) == pytest.approx(4 / 7, rel=1e-15)
     assert cone_kkt_residual(x, proj, c) <= 1e-14
+
+
+def test_cone_nnls_second_solve():
+    # Above _FACE_MAX_N each grid is solved by NNLS, dropping one generator
+    # per solve; a seeded search finds an integer grid whose first dropped
+    # generator fails the dual test, so a second solve is needed.
+    n = wlinalg._FACE_MAX_N + 1
+    rng = np.random.default_rng(2)
+    for _ in range(2000):
+        c = CostMatrix(rng.integers(1, 3, (n, n)))
+        x = rng.integers(0, 6, (n, n)).astype(float)
+        proj = project_cone(x, c)
+        if proj.sweeps == 2:
+            break
+    assert proj.sweeps == 2
+    assert proj.w.min() >= 0 and proj.wt.min() >= 0
+    assert cnorm2(proj.perp, c) == pytest.approx(oracle_cone_residual2(x, c), rel=1e-9, abs=1e-10)
+    assert cone_kkt_residual(x, proj, c) <= 1e-9 * (1.0 + cnorm2(x, c))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_cone_stack_matches_single_grids(rng, n):
+    # A grid of a stack gets the bits it gets alone, whatever the stack's
+    # size and order, on both the face enumeration and the NNLS path.
+    costs = [random_cost(rng, n), CostMatrix(rng.integers(1, 4, (n, n)))]
+    for c in costs:
+        X = rng.integers(0, 8, (24, n, n)).astype(float)
+        X[:3] = 0.0
+        X[3] = X[4]
+        alone = [project_cone(x, c) for x in X]
+        for idx in (np.arange(24), rng.permutation(24)[:11], np.array([5])):
+            proj = project_cone(X[idx], c)
+            assert proj.perp.shape == (len(idx), n, n) and proj.w.shape == (len(idx), n)
+            assert proj.sweeps == sum(alone[i].sweeps for i in idx)
+            for field in ("parallel", "perp", "w", "wt"):
+                got = getattr(proj, field)
+                for row, i in zip(got, idx):
+                    assert np.array_equal(row, getattr(alone[i], field)), (field, i)
+
+
+def test_cone_face_enumeration_matches_nnls(rng, monkeypatch):
+    # NNLS is the differential oracle of the face enumeration: the same
+    # projections to a few ulps of the grid.
+    cases = []
+    for n in range(2, wlinalg._FACE_MAX_N + 1):
+        for k in range(100):
+            c = random_cost(rng, n) if k % 2 else CostMatrix(rng.integers(1, 3, (n, n)))
+            X = rng.integers(0, 6, (20, n, n)).astype(float)
+            X[10:] = rng.normal(size=(10, n, n)) * 5
+            cases.append((c, X))
+    enumerated = [project_cone(X, c) for c, X in cases]
+    monkeypatch.setattr(wlinalg, "_FACE_MAX_N", 0)
+    for (c, X), got in zip(cases, enumerated):
+        want = project_cone(X, c)
+        scale = 1.0 + np.abs(X).max(axis=(1, 2))[:, None, None]
+        assert np.all(np.abs(got.perp - want.perp) <= 1e-13 * scale)
 
 
 def test_cone_exact_on_integer_potentials(rng):
