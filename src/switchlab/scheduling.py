@@ -95,7 +95,7 @@ def perm_table(n: int) -> PermTable:
     return PermTable(perms, pidx, cols)
 
 
-def _loop_kernel(c_flat: list[float], pidx) -> Callable[[Sequence], list[int]]:
+def _loop_kernel(c_flat: Sequence[float], pidx) -> Callable[[Sequence], list[int]]:
     def ties(q) -> list[int]:
         best = float("-inf")
         out: list[int] = []
@@ -139,7 +139,7 @@ def argmax_kernel(cost: CostMatrix) -> Callable[[Sequence], Sequence[int]]:
     """
     table = perm_table(cost.n)
     if cost.n < _GATHER_MIN_N:
-        return _loop_kernel(cost.flat.tolist(), table.pidx)
+        return _loop_kernel(cost._flat_tuple, table.pidx)
     return _gather_kernel(cost.flat, table.cols)
 
 

@@ -7,18 +7,24 @@ and
     Q(t+1) = Q(t) + A(t) - S(t) + U(t),   U_ij = max(0, S_ij - Q_ij - A_ij).
 
 Arrivals of a slot are servable within the slot, which is exactly what makes
-<Q(t+1), U(t)> vanish identically.  ``run`` drives a long replication with
-batch-means statistics and periodic cone-projection sampling; ``step`` is the
-single-slot reference.  Both use the matcher kernels of ``scheduling``, and
-``step`` updates the queues with ``_serve``, as the exact engine of ``run``
-does; the array update of the Hungarian engine gives the same queues.  So
-``step`` replays a recorded ``run`` slot for slot, and above EXACT_MAX_N it
-checks the array update against the list one.
+<Q(t+1), U(t)> vanish identically.
+
+``run`` drives a long replication in two parts.  A sequential recursion, one
+per matcher mode, does per slot only what the next slot needs: the schedule
+from Q(t) by the matcher kernels of ``scheduling``, the arrivals, the
+service, and a record of Q(t+1) and the served queues.  ``_reduce_chunk``
+then turns each chunk of records into unused service, per-slot checks of
+the update, batch-means statistics and cone-projection samples with array
+operations, the same code for both engines.  ``step`` is the single-slot
+reference: it updates the queues with ``_serve``, which also lists the unused
+service, so replaying a recorded ``run`` through ``step`` checks the
+recursion and the reduction slot for slot.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +55,8 @@ TIEBREAK_STREAM = 1
 # effects in the analysis of simulation output", Oper. Res. 1982).
 BATCH_COUNT = 30
 _BLOCK = 65536
+# Queue entries per chunk of recorded slots that run hands to _reduce_chunk.
+_CHUNK = 65536
 # SSC sample pairs (Q(t), Q(t+1)) buffered per project_cone call.
 _SSC_PAIRS = 512
 # Samples within this relative distance of kappa count as perp norm >= kappa.
@@ -88,6 +96,13 @@ class QueueState:
     @classmethod
     def empty(cls, n: int) -> "QueueState":
         return cls(Q=np.zeros((n, n), dtype=np.int64), t=0)
+
+    @classmethod
+    def _unchecked(cls, Q: np.ndarray, t: int) -> "QueueState":
+        """A state on a square nonnegative int64 array ``Q``, taken as is."""
+        state = cls.__new__(cls)
+        state.Q, state.t = Q, t
+        return state
 
 
 @dataclass
@@ -161,31 +176,17 @@ def _serve(q: list[int], a: list[int], idxs) -> list[int]:
     return unused
 
 
-def _weighted_sum(c_flat: list[float], q: list[int]) -> float:
+def _weighted_sum(c_flat: Sequence[float], q: list[int]) -> float:
     """sum_k c_flat[k] * q[k] over the flat queue list, added from 0.0 in
-    row-major order: the weighted queue sum ``run`` and ``step`` record."""
+    row-major order: the weighted queue sum ``step`` records.  ``run`` gets
+    the same bits from ``np.add.accumulate`` along each recorded row, which
+    adds the terms one at a time in the same order (costs are > 0 and q >= 0,
+    so the loop's first 0.0 + term is term); a sum, dot or matmul may add in
+    another order."""
     w = 0.0
     for c, x in zip(c_flat, q):
         w += c * x
     return w
-
-
-def _serve_array(q: np.ndarray, a: np.ndarray, idxs: np.ndarray) -> np.ndarray:
-    """``_serve`` on the flat int64 queue array ``q``, in place, by array
-    operations; ``idxs`` are the served flat indices, one per row.  Returns
-    the flat indices of unused service, in row order as ``_serve`` lists them."""
-    q += a
-    s = q[idxs]
-    q[idxs] = s - (s > 0)
-    return idxs[s == 0]
-
-
-def _weighted_sum_array(c_flat: np.ndarray, q: np.ndarray) -> float:
-    """``_weighted_sum`` of the flat queue array ``q``.  ``np.add.accumulate``
-    adds the terms one at a time in row-major order, the loop's own additions
-    (costs are > 0 and q >= 0, so the loop's first 0.0 + term is term), and
-    gives the same bits; a sum, dot or matmul may add in another order."""
-    return float(np.add.accumulate(c_flat * q)[-1])
 
 
 def _indicator(idxs, n: int) -> np.ndarray:
@@ -238,15 +239,16 @@ def step(
     q = Q.ravel().tolist()
     idxs = [i * n + j for i, j in enumerate(s.perm)]
     unused = _serve(q, A.ravel().tolist(), idxs)
-    Qn = np.array(q, dtype=np.int64).reshape(n, n)
     rec = SlotRecord(
         t=state.t,
         A=A,
         S=_indicator(idxs, n),
         U=_indicator(unused, n),
-        weighted_qsum=_weighted_sum(cost.flat.tolist(), q),
+        weighted_qsum=_weighted_sum(cost._flat_tuple, q),
     )
-    return QueueState(Q=Qn, t=state.t + 1), rec
+    # _serve leaves no queue negative: the successor skips the copy and scan
+    # that validate a caller's state.
+    return QueueState._unchecked(np.array(q, dtype=np.int64).reshape(n, n), state.t + 1), rec
 
 
 class _BatchAcc:
@@ -258,13 +260,20 @@ class _BatchAcc:
         self.fill = 0
         self.means: list[float] = []
 
-    def add(self, value: float):
-        self.cur += value
-        self.fill += 1
-        if self.fill == self.size:
-            self.means.append(self.cur / self.size)
-            self.cur = 0.0
-            self.fill = 0
+    def extend(self, values: np.ndarray):
+        """Add ``values`` in order.  A batch total is added one value at a
+        time, from 0.0, with the partial total carried between calls, so the
+        means do not depend on how the values are split between calls."""
+        i, end = 0, len(values)
+        while i < end:
+            j = min(end, i + self.size - self.fill)
+            self.cur = float(np.add.accumulate(np.concatenate(([self.cur], values[i:j])))[-1])
+            self.fill += j - i
+            i = j
+            if self.fill == self.size:
+                self.means.append(self.cur / self.size)
+                self.cur = 0.0
+                self.fill = 0
 
     def mean(self) -> float:
         return float(np.mean(self.means))
@@ -276,17 +285,172 @@ class _BatchAcc:
         return float(m.std(ddof=1) / math.sqrt(len(m)))
 
 
+class _Reduction:
+    """Running statistics of one replication, which ``_reduce_chunk`` feeds
+    with the recorded slots one chunk at a time."""
+
+    def __init__(self, cost: CostMatrix, warmup: int, batch: int, ssc_stride: int,
+                 record_slots: bool):
+        n2 = cost.n * cost.n
+        self.cost = cost
+        self.warmup = warmup
+        self.ssc_stride = ssc_stride
+        self.t = 0  # slots reduced so far
+        self.q = np.zeros(n2, dtype=np.int64)  # Q(t) of the next slot
+        self.w_acc = _BatchAcc(batch)
+        self.u_acc = _BatchAcc(batch)
+        # Measured slots per queue: served, and served while empty.
+        self.served = np.zeros(n2, dtype=np.int64)
+        self.unused = np.zeros(n2, dtype=np.int64)
+        self.qu_violation = 0.0
+        self.conservation_ok = True
+        # Sampled states wait here and are projected _SSC_PAIRS pairs at a time.
+        self.ssc_pairs = np.empty((_SSC_PAIRS, 2, n2))
+        self.n_pairs = 0
+        self.perp: list[float] = []
+        self.par: list[float] = []
+        self.drift: list[float] = []
+        self.records: list[SlotRecord] | None = [] if record_slots else None
+
+    def flush_pairs(self):
+        if self.n_pairs:
+            _project_pairs(self.ssc_pairs[: self.n_pairs], self.cost,
+                           self.perp, self.par, self.drift)
+            self.n_pairs = 0
+
+
+def _reduce_chunk(red: _Reduction, A: np.ndarray, Qn: np.ndarray, served: np.ndarray):
+    """Fold m recorded slots into ``red``: the arrivals ``A`` and the queues
+    after each slot ``Qn``, both (m, n^2), and the served flat indices
+    ``served``, (m, n).  Q(t) is the row of ``Qn`` before (``red.q`` for the
+    first).  Unused service is read off the trajectory, U(t) = [(Q(t) +
+    A(t))[served] == 0], and every slot is checked against Q(t+1) = Q(t) +
+    A(t) - S(t) + U(t) >= 0.  No view of the arguments is kept."""
+    cost = red.cost
+    n = cost.n
+    n2 = n * n
+    m = len(Qn)
+    t0 = red.t
+    Q = np.concatenate((red.q[None], Qn[:-1]))
+    pre = Q + A
+    rows = np.arange(m)[:, None]
+    s = np.take_along_axis(pre, served, axis=1)
+    u = s == 0
+    # Q(t) + A(t) - Q(t+1) must be S(t) - U(t): one at each served queue
+    # that sent a packet, zero everywhere else.
+    d = pre - Qn
+    d[rows, served] -= s > 0
+    if d.any() or Qn.min() < 0:
+        red.conservation_ok = False
+    if u.any():
+        k = served[u]
+        q_unused = Qn[np.nonzero(u)[0], k]
+        red.qu_violation = max(red.qu_violation, float(np.abs(cost.flat[k] * q_unused).max()))
+
+    off = min(m, max(0, red.warmup - t0))  # first measured row
+    lo = 0 if red.records is not None else off
+    w = np.add.accumulate(cost.flat * Qn[lo:], axis=1)[:, -1]
+    if off < m:
+        red.w_acc.extend(w[off - lo:])
+        red.u_acc.extend(u[off:].sum(axis=1))
+        red.served += np.bincount(served[off:].ravel(), minlength=n2)
+        red.unused += np.bincount(served[off:][u[off:]], minlength=n2)
+        # SSC samples are taken at every ssc_stride-th measured slot.
+        stride = red.ssc_stride
+        first = red.warmup + -(-(t0 + off - red.warmup) // stride) * stride - t0
+        idx = np.arange(first, m, stride)
+        while idx.size:
+            k = min(idx.size, len(red.ssc_pairs) - red.n_pairs)
+            red.ssc_pairs[red.n_pairs : red.n_pairs + k, 0] = Q[idx[:k]]
+            red.ssc_pairs[red.n_pairs : red.n_pairs + k, 1] = Qn[idx[:k]]
+            red.n_pairs += k
+            idx = idx[k:]
+            if red.n_pairs == len(red.ssc_pairs):
+                red.flush_pairs()
+
+    if red.records is not None:
+        S = np.zeros((m, n2), dtype=np.int64)
+        S[rows, served] = 1
+        U = np.zeros((m, n2), dtype=np.int64)
+        U[rows, served] = u
+        red.records.extend(
+            map(SlotRecord, range(t0, t0 + m), A.reshape(m, n, n).copy(),
+                S.reshape(m, n, n), U.reshape(m, n, n), w.tolist())
+        )
+    red.q = Qn[-1].copy()
+    red.t = t0 + m
+
+
+def _exact_engine(cost: CostMatrix, tiebreak_rng: np.random.Generator):
+    """The recursion of the exact engine: ``advance(A)`` runs the slots of the
+    arrival rows ``A`` and returns Q(t+1) and the served flat indices of each.
+    The queues live in a Python list, which beats array operations on so few."""
+    n2 = cost.n * cost.n
+    pidx = perm_table(cost.n).pidx
+    served_of = np.array(pidx, dtype=np.intp)
+    ties_of = argmax_kernel(cost)
+    uniform = _uniforms(tiebreak_rng).__next__
+    queues = [0] * n2
+
+    def advance(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q = queues
+        qs: list[int] = []
+        ps: list[int] = []
+        record_q, record_p = qs.extend, ps.append
+        for a in A.tolist():
+            p = break_tie(ties_of(q), uniform)
+            for k, x in enumerate(a):
+                if x:
+                    q[k] += x
+            for k in pidx[p]:
+                if q[k] > 0:
+                    q[k] -= 1
+            record_q(q)
+            record_p(p)
+        return np.array(qs, dtype=np.int64).reshape(-1, n2), served_of[ps]
+
+    return advance
+
+
+def _hungarian_engine(cost: CostMatrix, tiebreak_rng: np.random.Generator):
+    """The recursion of the Hungarian engine, as ``_exact_engine``; the queues
+    live in a flat int64 array and each slot is solved by ``_hungarian_perm``."""
+    n = cost.n
+    row_start = np.arange(n, dtype=np.intp) * n  # flat index of (i, 0)
+    c_flat = cost.flat
+    queues = np.zeros(n * n, dtype=np.int64)
+
+    def advance(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q = queues
+        qs = np.empty((len(A), n * n), dtype=np.int64)
+        ss = np.empty((len(A), n), dtype=np.intp)
+        for r, a in enumerate(A):
+            idxs = row_start + _hungarian_perm((c_flat * q).reshape(n, n), tiebreak_rng)
+            q += a
+            s = q[idxs]
+            q[idxs] = s - (s > 0)
+            qs[r] = q
+            ss[r] = idxs
+        return qs, ss
+
+    return advance
+
+
 def run(cfg: RunConfig) -> RunStats:
     """Simulate one replication and summarize it.
 
     Deterministic given (seed, stream_key).  The measured window is trimmed
     down to a multiple of BATCH_COUNT so every batch has equal size.
 
-    The engine follows ``matcher_mode(n)``.  Exact enumeration keeps the
-    queues in a Python list (``_serve``, ``_weighted_sum``), which beats
-    array operations on its few queues; the Hungarian engine keeps them in a
-    flat int64 array (``_serve_array``, ``_weighted_sum_array``).  Only the
-    state, the schedule, the slot update and the weighted sum differ.
+    Record, then reduce.  The engine of ``matcher_mode(n)`` (``_exact_engine``
+    or ``_hungarian_engine``) runs the slots in order and does only what the
+    next slot depends on: schedule from Q(t), add the arrivals, serve, and
+    record Q(t+1) and the served queues.  Every chunk of about ``_CHUNK``
+    queue entries (``_CHUNK // n^2`` slots, cut at arrival-block edges) goes
+    to ``_reduce_chunk``, which computes unused service, the slot checks,
+    the batch means, the served and unused counts, the SSC samples and the
+    slot records with array operations, for both engines alike.  Chunk edges
+    change no output bit.
 
     SSC sampling copies Q(t) and Q(t+1) into a buffer of ``_SSC_PAIRS``
     pairs, which is projected as one ``project_cone`` stack when full and
@@ -294,132 +458,37 @@ def run(cfg: RunConfig) -> RunStats:
     """
     cost, model = cfg.c, cfg.model
     n = cost.n
-    n2 = n * n
     warmup = cfg.warmup if cfg.warmup is not None else default_warmup(model.epsilon)
     batch = cfg.measured // BATCH_COUNT
     measured = batch * BATCH_COUNT
     arrival_rng, tiebreak_rng = derive_rngs(cfg.seed, cfg.stream_key)
     mode = matcher_mode(n)
-
-    use_exact = mode == "exact-enumeration"
-    if use_exact:
-        pidx = perm_table(n).pidx
-        ties_of = argmax_kernel(cost)
-        uniform = _uniforms(tiebreak_rng).__next__
-        c_flat = cost.flat.tolist()
-        Q = [0] * n2
-        serve, weighted_sum = _serve, _weighted_sum
-    else:
-        row_start = np.arange(n, dtype=np.intp) * n  # flat index of (i, 0)
-        c_flat = cost.flat
-        Q = np.zeros(n2, dtype=np.int64)
-        serve, weighted_sum = _serve_array, _weighted_sum_array
-    q_start = np.zeros(n2, dtype=np.int64)
-
-    w_acc = _BatchAcc(batch)
-    u_acc = _BatchAcc(batch)
-    arrivals_total = np.zeros(n2, dtype=np.int64)
-    unused_total = np.zeros(n2, dtype=np.int64)
-    # Measured slots per served queue.  The exact engine first counts each
-    # schedule by its tuple of served flat indices (at most n! keys); the
-    # Hungarian engine writes each slot's served flat indices to a row of
-    # ``served_blk`` and counts the measured rows once per arrival block.
-    served = np.zeros(n2, dtype=np.int64)
-    sched_count: dict = {}
-    qu_violation = 0.0
-
-    perp_samples: list[float] = []
-    par_samples: list[float] = []
-    drift_samples: list[float] = []
-    # Sampled states wait here and are projected _SSC_PAIRS pairs at a time.
-    ssc_pairs = np.empty((_SSC_PAIRS, 2, n2))
-    n_pairs = 0
-    records: list[SlotRecord] | None = [] if cfg.record_slots else None
+    engine = _exact_engine if mode == "exact-enumeration" else _hungarian_engine
+    advance = engine(cost, tiebreak_rng)
+    rows = max(1, _CHUNK // (n * n))
+    red = _Reduction(cost, warmup, batch, cfg.ssc_stride, cfg.record_slots)
 
     total = warmup + measured
     done = 0
-    # SSC is sampled at every ssc_stride-th measured slot.
-    next_sample = warmup
     while done < total:
-        blk_start = done
         blk_n = min(_BLOCK, total - done)
         ablk = model.sample_block(arrival_rng, blk_n)
-        off = max(0, warmup - done)
-        if off < blk_n:
-            arrivals_total += ablk[off:].sum(axis=0)
-        if not use_exact:
-            served_blk = np.empty((blk_n, n), dtype=np.intp)
-        for A in ablk.tolist() if use_exact else ablk:
-            m_idx = done - warmup
-            in_measured = m_idx >= 0
-            if m_idx == 0:
-                q_start = np.array(Q, dtype=np.int64)
-            sample_now = done == next_sample
-            if sample_now:
-                next_sample += cfg.ssc_stride
-                ssc_pairs[n_pairs, 0] = Q
-
-            # -- schedule from Q(t)
-            if use_exact:
-                idxs = pidx[break_tie(ties_of(Q), uniform)]
-            else:
-                idxs = row_start + _hungarian_perm((c_flat * Q).reshape(n, n), tiebreak_rng)
-                served_blk[done - blk_start] = idxs
-
-            # -- arrivals, unused service, update; <Q(t+1), U(t)> on the result
-            unused = serve(Q, A, idxs)
-            for k in unused:
-                qu_violation = max(qu_violation, abs(c_flat[k] * Q[k]))
-
-            if in_measured:
-                for k in unused:
-                    unused_total[k] += 1
-                w_acc.add(weighted_sum(c_flat, Q))
-                u_acc.add(float(len(unused)))
-                if use_exact:
-                    sched_count[idxs] = sched_count.get(idxs, 0) + 1
-
-            if sample_now:
-                ssc_pairs[n_pairs, 1] = Q
-                n_pairs += 1
-                if n_pairs == _SSC_PAIRS:
-                    _project_pairs(ssc_pairs, cost, perp_samples, par_samples, drift_samples)
-                    n_pairs = 0
-
-            if records is not None:
-                records.append(
-                    SlotRecord(
-                        t=done,
-                        A=np.array(A, dtype=np.int64).reshape(n, n),
-                        S=_indicator(idxs, n),
-                        U=_indicator(unused, n),
-                        weighted_qsum=weighted_sum(c_flat, Q),
-                    )
-                )
-
-            done += 1
-        if not use_exact and off < blk_n:
-            served += np.bincount(served_blk[off:].ravel(), minlength=n2)
-        # Drop the block, and the row view A into it, before the next one is
+        for c0 in range(0, blk_n, rows):
+            A = ablk[c0 : c0 + rows]
+            _reduce_chunk(red, A, *advance(A))
+        done += blk_n
+        # Drop the block, and the chunk view A into it, before the next one is
         # sampled, so that two blocks are never live at once.
         del ablk, A
+    red.flush_pairs()
 
-    if n_pairs:
-        _project_pairs(ssc_pairs[:n_pairs], cost, perp_samples, par_samples, drift_samples)
-    q_end = np.array(Q, dtype=np.int64)
-    for idxs, cnt in sched_count.items():
-        served[list(idxs)] += cnt
-    conservation_ok = bool(
-        np.array_equal(q_end - q_start, arrivals_total - served + unused_total)
-    )
-
-    perp = np.asarray(perp_samples)
-    par = np.asarray(par_samples)
-    drift = np.asarray(drift_samples)
+    perp = np.asarray(red.perp)
+    par = np.asarray(red.par)
+    drift = np.asarray(red.drift)
     mean_perp = {
         r: (float(np.mean(perp**r)) if perp.size else float("nan")) for r in (1, 2, 4)
     }
-    departures = served - unused_total
+    departures = red.served - red.unused
 
     return RunStats(
         n=n,
@@ -429,19 +498,19 @@ def run(cfg: RunConfig) -> RunStats:
         matcher_mode=mode,
         warmup_slots=warmup,
         measured_slots=measured,
-        mean_weighted_qsum=w_acc.mean(),
-        stderr_weighted_qsum=w_acc.stderr(),
-        unused_service_rate=u_acc.mean(),
-        stderr_unused_service=u_acc.stderr(),
+        mean_weighted_qsum=red.w_acc.mean(),
+        stderr_weighted_qsum=red.w_acc.stderr(),
+        unused_service_rate=red.u_acc.mean(),
+        stderr_unused_service=red.u_acc.stderr(),
         mean_perp_norm_r=mean_perp,
         mean_par_norm=float(par.mean()) if par.size else float("nan"),
         perp_samples=perp,
         par_samples=par,
         drift_samples=drift,
-        qu_dot_violation=qu_violation,
-        conservation_ok=conservation_ok,
+        qu_dot_violation=red.qu_violation,
+        conservation_ok=red.conservation_ok,
         departure_rate=(departures / measured).reshape(n, n),
-        records=records,
+        records=red.records,
     )
 
 

@@ -87,6 +87,11 @@ class CostMatrix:
     def flat(self) -> np.ndarray:
         return self.c.ravel()
 
+    @cached_property
+    def _flat_tuple(self) -> tuple[float, ...]:
+        """The row-major costs as Python floats, for per-slot Python loops."""
+        return tuple(self.flat.tolist())
+
     @property
     def cmax(self) -> float:
         return float(self.c.max())

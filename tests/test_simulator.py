@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -194,6 +195,124 @@ def test_run_ssc_samples_match_single_grid_projections(monkeypatch, n):
     assert stats.perp_samples.tolist() == perp
     assert stats.par_samples.tolist() == par
     assert stats.drift_samples.tolist() == drift
+
+
+def _assert_same_stats(got, want):
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "records":
+            assert len(a) == len(b)
+            for ra, rb in zip(a, b):
+                assert ra.t == rb.t and ra.weighted_qsum == rb.weighted_qsum
+                for grid in ("A", "S", "U"):
+                    x, y = getattr(ra, grid), getattr(rb, grid)
+                    assert x.dtype == y.dtype and np.array_equal(x, y), (ra.t, grid)
+        elif isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        elif isinstance(b, float) and np.isnan(b):
+            assert np.isnan(a), f.name
+        else:
+            assert a == b, f.name
+
+
+@pytest.mark.parametrize(
+    "cost, model",
+    [
+        (ones_cost(), bernoulli(0.1)),
+        (checker(5), bernoulli(0.1, 5)),
+        (CostMatrix(np.random.default_rng(8).uniform(0.5, 2.0, (8, 8))), bernoulli(0.2, 8)),
+        (checker(3), ArrivalModel.uniform_integer(uniform_nu(3), 0.1, a_max=3)),
+    ],
+    ids=["n2-exact", "n5-exact", "n8-hungarian", "n3-uniform-integer"],
+)
+@pytest.mark.parametrize("rows", [1, 7])
+def test_run_chunk_edges_change_no_output(monkeypatch, cost, model, rows):
+    # The recursion hands its records to _reduce_chunk in chunks.  Chunks of
+    # 1 and 7 slots in blocks of 96 put chunk edges mid-batch (batches of
+    # 50), at and across the warmup edge (250) and mid-block; no output may
+    # move.
+    monkeypatch.setattr(simulator, "_BLOCK", 96)
+    cfg = RunConfig(c=cost, model=model, measured=1_500, warmup=250, ssc_stride=13,
+                    record_slots=True, seed=7, stream_key=(1,))
+    want = run(cfg)
+    monkeypatch.setattr(simulator, "_CHUNK", rows * cost.n**2)
+    got = run(cfg)
+    assert model.kind == "bernoulli" or max(rec.A.max() for rec in want.records) > 1
+    _assert_same_stats(got, want)
+
+
+def _hand_chunk():
+    # n = 2 from empty queues; flat indices 0..3, schedules (0, 3) and (1, 2).
+    A = np.array([[1, 0, 0, 1], [0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 1, 0]])
+    served = np.array([[0, 3], [1, 2], [1, 2], [0, 3]])
+    Qn = np.array([[0, 0, 0, 0], [0, 0, 0, 0], [2, 0, 0, 0], [1, 0, 1, 0]])
+    return A, Qn, served
+
+
+def _reduction(q0=(0, 0, 0, 0)):
+    red = simulator._Reduction(ones_cost(), warmup=0, batch=2, ssc_stride=3, record_slots=False)
+    red.q = np.array(q0, dtype=np.int64)
+    return red
+
+
+def test_reduce_chunk_reads_unused_service_off_the_trajectory():
+    A, Qn, served = _hand_chunk()
+    red = _reduction()
+    simulator._reduce_chunk(red, A, Qn, served)
+    assert red.conservation_ok
+    assert red.qu_violation == 0.0
+    assert red.unused.tolist() == [0, 1, 2, 1]  # empty at slots 1 (2), 2 (1, 2), 3 (3)
+    assert red.served.tolist() == [2, 2, 2, 2]
+    assert red.u_acc.means == [0.5, 1.5]
+    assert red.w_acc.means == [0.0, 2.0]
+    assert red.n_pairs == 2 and red.t == 4 and red.q.tolist() == [1, 0, 1, 0]
+
+
+@pytest.mark.parametrize("fault", ["plus-one", "negative", "negative-and-consistent"])
+def test_reduce_chunk_detects_a_wrong_update(fault):
+    A, Qn, served = _hand_chunk()
+    red = _reduction()
+    if fault == "plus-one":
+        Qn[3, 0] += 1
+    elif fault == "negative":
+        Qn[1, 3] = -1
+    else:
+        # Q(t) + A(t) - S(t) + U(t) holds on every slot; only the sign fails.
+        red = _reduction(q0=(0, -1, 0, 0))
+        A, Qn, served = A[:1], np.array([[0, -1, 0, 0]]), served[:1]
+    simulator._reduce_chunk(red, A, Qn, served)
+    assert not red.conservation_ok
+
+
+def test_run_memory_does_not_grow_with_slots(monkeypatch):
+    # Statistics are reduced per chunk: nothing the reduction keeps may pin a
+    # chunk or an arrival block, so ten times the slots stay in the same peak.
+    # Both runs fill the SSC buffer, so both project full stacks.
+    monkeypatch.setattr(simulator, "_BLOCK", 256)
+    monkeypatch.setattr(simulator, "_SSC_PAIRS", 16)
+    cfg = small_cfg(c=ones_cost(8), model=bernoulli(0.2, 8), warmup=500)
+    peaks = []
+    for measured in (5_000, 50_000):
+        tracemalloc.start()
+        try:
+            run(dataclasses.replace(cfg, measured=measured))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_step_validates_only_states_built_by_callers():
+    with pytest.raises(ValueError, match="nonnegative"):
+        QueueState(Q=np.array([[0, -1], [0, 0]]))
+    with pytest.raises(ValueError, match="square"):
+        QueueState(Q=np.zeros((2, 3)))
+    a_rng, t_rng = derive_rngs(0)
+    state = QueueState(Q=np.array([[3, 0], [1, 2]], dtype=np.int32))
+    nxt, rec = step(state, bernoulli(0.5), ones_cost(), a_rng, t_rng)
+    assert state.Q.dtype == np.int64
+    assert nxt.Q.dtype == np.int64 and nxt.Q.shape == (2, 2) and nxt.t == 1
+    assert np.array_equal(nxt.Q, state.Q + rec.A - rec.S + rec.U)
 
 
 def test_run_hungarian_mode_matches_dynamics():
