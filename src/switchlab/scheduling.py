@@ -121,15 +121,16 @@ def _gather_kernel(c_flat: np.ndarray, cols: np.ndarray) -> Callable[[Sequence],
         acc = w[0]
         for i in range(1, len(w)):
             acc += w[i]
-        return np.flatnonzero(acc == acc.max())
+        return (acc == acc.max()).nonzero()[0]
 
     return ties
 
 
+@lru_cache(maxsize=16)
 def argmax_kernel(cost: CostMatrix) -> Callable[[Sequence], Sequence[int]]:
     """The exact MaxWeight kernel for ``cost``: maps flat queue lengths ``q``
     (length n^2, row-major) to the ascending positions in ``perm_table(n)`` of
-    every maximum-weight permutation.
+    every maximum-weight permutation, built once per cost object (last 16).
 
     Each weight is summed in the fixed row order of ``schedule_weight``, so
     ties are exact float equalities.  Below n = 5 the sums run in a Python

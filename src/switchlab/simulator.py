@@ -9,16 +9,16 @@ and
 Arrivals of a slot are servable within the slot, which is exactly what makes
 <Q(t+1), U(t)> vanish identically.
 
-``run`` drives a long replication in two parts.  A sequential recursion, one
-per matcher mode, does per slot only what the next slot needs: the schedule
-from Q(t) by the matcher kernels of ``scheduling``, the arrivals, the
-service, and a record of Q(t+1) and the served queues.  ``_reduce_chunk``
+``run`` drives a long replication chunk by chunk.  A sequential recursion,
+one per matcher mode, does per slot only what the next slot needs: the
+schedule from Q(t) by the matcher kernels of ``scheduling``, the arrivals,
+the service, and a record of Q(t+1) and the served queues.  ``_reduce_chunk``
 then turns each chunk of records into unused service, per-slot checks of
 the update, batch-means statistics and cone-projection samples with array
 operations, the same code for both engines.  ``step`` is the single-slot
 reference: it updates the queues with ``_serve``, which also lists the unused
-service, so replaying a recorded ``run`` through ``step`` checks the
-recursion and the reduction slot for slot.
+service, so replaying a ``run`` through ``step`` checks the recursion and
+the reduction slot for slot.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ TIEBREAK_STREAM = 1
 # Batch means per replication, the standard choice (Schmeiser, "Batch size
 # effects in the analysis of simulation output", Oper. Res. 1982).
 BATCH_COUNT = 30
-_BLOCK = 65536
-# Queue entries per chunk of recorded slots that run hands to _reduce_chunk.
+# Queue entries per chunk of slots that run samples, advances and reduces.
 _CHUNK = 65536
 # SSC sample pairs (Q(t), Q(t+1)) buffered per project_cone call.
 _SSC_PAIRS = 512
@@ -218,7 +217,7 @@ def _uniforms(rng: np.random.Generator):
     """The tiebreak stream in blocks: rng.random(N) yields the same values as
     N calls to rng.random(), the draws ``max_weight_schedule`` takes."""
     while True:
-        yield from rng.random(_BLOCK).tolist()
+        yield from rng.random(_CHUNK).tolist()
 
 
 def step(
@@ -231,7 +230,7 @@ def step(
     arrivals: np.ndarray | None = None,
 ) -> tuple[QueueState, SlotRecord]:
     """Advance one slot.  ``schedule``/``arrivals`` override sampling for
-    controlled tests."""
+    controlled tests; sampled arrivals continue ``run``'s arrival stream."""
     Q = state.Q
     n = Q.shape[0]
     s = schedule if schedule is not None else max_weight_schedule(Q, cost, tiebreak_rng)
@@ -383,7 +382,7 @@ def _reduce_chunk(red: _Reduction, A: np.ndarray, Qn: np.ndarray, served: np.nda
 
 def _exact_engine(cost: CostMatrix, tiebreak_rng: np.random.Generator):
     """The recursion of the exact engine: ``advance(A)`` runs the slots of the
-    arrival rows ``A`` and returns Q(t+1) and the served flat indices of each.
+    arrival rows ``A`` and returns ``A``, Q(t+1) and the served flat indices.
     The queues live in a Python list, which beats array operations on so few."""
     n2 = cost.n * cost.n
     pidx = perm_table(cost.n).pidx
@@ -407,7 +406,7 @@ def _exact_engine(cost: CostMatrix, tiebreak_rng: np.random.Generator):
                     q[k] -= 1
             record_q(q)
             record_p(p)
-        return np.array(qs, dtype=np.int64).reshape(-1, n2), served_of[ps]
+        return A, np.array(qs, dtype=np.int64).reshape(-1, n2), served_of[ps]
 
     return advance
 
@@ -420,7 +419,7 @@ def _hungarian_engine(cost: CostMatrix, tiebreak_rng: np.random.Generator):
     c_flat = cost.flat
     queues = np.zeros(n * n, dtype=np.int64)
 
-    def advance(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def advance(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         q = queues
         qs = np.empty((len(A), n * n), dtype=np.int64)
         ss = np.empty((len(A), n), dtype=np.intp)
@@ -431,7 +430,7 @@ def _hungarian_engine(cost: CostMatrix, tiebreak_rng: np.random.Generator):
             q[idxs] = s - (s > 0)
             qs[r] = q
             ss[r] = idxs
-        return qs, ss
+        return A, qs, ss
 
     return advance
 
@@ -442,15 +441,16 @@ def run(cfg: RunConfig) -> RunStats:
     Deterministic given (seed, stream_key).  The measured window is trimmed
     down to a multiple of BATCH_COUNT so every batch has equal size.
 
-    Record, then reduce.  The engine of ``matcher_mode(n)`` (``_exact_engine``
-    or ``_hungarian_engine``) runs the slots in order and does only what the
-    next slot depends on: schedule from Q(t), add the arrivals, serve, and
-    record Q(t+1) and the served queues.  Every chunk of about ``_CHUNK``
-    queue entries (``_CHUNK // n^2`` slots, cut at arrival-block edges) goes
-    to ``_reduce_chunk``, which computes unused service, the slot checks,
-    the batch means, the served and unused counts, the SSC samples and the
-    slot records with array operations, for both engines alike.  Chunk edges
-    change no output bit.
+    One loop over chunks of ``max(1, _CHUNK // n^2)`` slots: sample the
+    chunk's arrivals (one ``sample_block`` call, so about ``_CHUNK`` queue
+    entries at any n), record, reduce.  The engine of ``matcher_mode(n)``
+    (``_exact_engine`` or ``_hungarian_engine``) runs the slots in order and
+    does only what the next slot depends on: schedule from Q(t), add the
+    arrivals, serve, and record Q(t+1) and the served queues.
+    ``_reduce_chunk`` computes unused service, the slot checks, the batch
+    means, the served and unused counts, the SSC samples and the slot records
+    with array operations, for both engines alike.  Chunk edges change no
+    output bit.
 
     SSC sampling copies Q(t) and Q(t+1) into a buffer of ``_SSC_PAIRS``
     pairs, which is projected as one ``project_cone`` stack when full and
@@ -469,17 +469,8 @@ def run(cfg: RunConfig) -> RunStats:
     red = _Reduction(cost, warmup, batch, cfg.ssc_stride, cfg.record_slots)
 
     total = warmup + measured
-    done = 0
-    while done < total:
-        blk_n = min(_BLOCK, total - done)
-        ablk = model.sample_block(arrival_rng, blk_n)
-        for c0 in range(0, blk_n, rows):
-            A = ablk[c0 : c0 + rows]
-            _reduce_chunk(red, A, *advance(A))
-        done += blk_n
-        # Drop the block, and the chunk view A into it, before the next one is
-        # sampled, so that two blocks are never live at once.
-        del ablk, A
+    for t0 in range(0, total, rows):
+        _reduce_chunk(red, *advance(model.sample_block(arrival_rng, min(rows, total - t0))))
     red.flush_pairs()
 
     perp = np.asarray(red.perp)

@@ -155,18 +155,32 @@ class ArrivalModel:
         self.nu = nu
         # Feasibility is checked against the epsilon -> 0 mean (nu itself) so
         # that every epsilon in (0, 1), and the limit law, stay realizable.
+        # _survival[q, k-1] = P(A_q >= k), k = 1..a_max, queues in row-major
+        # order, is the table sample_block inverts.
+        mean = self.mean.ravel()
         if self.kind == "bernoulli":
             if self.a_max != 1:
                 raise ValueError("bernoulli arrivals have support bound 1")
             if nu.max() > 1.0:
                 raise ValueError("bernoulli mean above 1")
+            S = mean[:, None]
         elif self.kind == "uniform-integer":
             if 2.0 * nu.max() / self.a_max > 1.0:
                 raise ValueError("mean not reachable: need a_max >= 2 * nu")
+            # Zero-inflated uniform: P(A = k) = q / (a_max + 1) for k >= 1.
+            q = 2.0 * mean / self.a_max
+            k = np.arange(1, self.a_max + 1)
+            S = q[:, None] * (self.a_max + 1 - k) / (self.a_max + 1)
         else:
             if nu.max() >= self.a_max:
                 raise ValueError("need nu < a_max for the truncated law")
             self._rates = _trunc_poisson_rates(self.mean, self.a_max)
+            rates, inverse = np.unique(self._rates.ravel(), return_inverse=True)
+            pmf = np.array([_trunc_poisson_pmf(float(r), self.a_max) for r in rates])
+            # Tail sums added from the top, so small tails keep their digits.
+            S = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1][inverse, 1:]
+        S.flags.writeable = False
+        self._survival = S
 
     # -------- constructors --------
 
@@ -204,23 +218,16 @@ class ArrivalModel:
     # -------- sampling --------
 
     def sample_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """(count, n*n) int64 array of independent slots."""
-        n2 = self.n * self.n
-        mean = self.mean.ravel()
-        if self.kind == "bernoulli":
-            return (rng.random((count, n2)) < mean[None, :]).astype(np.int64)
-        if self.kind == "uniform-integer":
-            q = 2.0 * mean / self.a_max
-            on = rng.random((count, n2)) < q[None, :]
-            vals = rng.integers(0, self.a_max + 1, size=(count, n2))
-            return np.where(on, vals, 0).astype(np.int64, copy=False)
-        rates = self._rates.ravel()
-        out = rng.poisson(lam=np.broadcast_to(rates, (count, n2)))
-        bad = out > self.a_max
-        while bad.any():
-            out[bad] = rng.poisson(lam=np.broadcast_to(rates, (count, n2))[bad])
-            bad = out > self.a_max
-        return out.astype(np.int64, copy=False)
+        """(count, n*n) int64 array of independent slots, by inverse transform
+        (Devroye 1986, ch. II): one uniform u per queue-slot, A = #{k : u <
+        P(A >= k)}.  So the arrivals depend only on how many slots have been
+        drawn, not on how they are split between calls."""
+        S = self._survival
+        u = rng.random((count, len(S)))
+        A = np.zeros(u.shape, dtype=np.int64)
+        for tail in S.T:
+            A += u < tail
+        return A
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """One slot of arrivals as an (n, n) integer matrix."""

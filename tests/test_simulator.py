@@ -152,31 +152,33 @@ def test_run_measured_trimmed_to_batches():
 
 @pytest.mark.parametrize("n", [2, 8], ids=["exact", "hungarian"])
 def test_run_releases_each_arrival_block_before_sampling_the_next(monkeypatch, n):
-    # Two live blocks double the peak memory of long large-n runs.
-    monkeypatch.setattr(simulator, "_BLOCK", 64)
+    # Arrivals are sampled one chunk at a time: no call may ask for more rows
+    # than a chunk holds, and no earlier chunk may outlive its reduction.
+    monkeypatch.setattr(simulator, "_CHUNK", 64 * n * n)
     sample_block = ArrivalModel.sample_block
-    blocks, previous_alive = [], []
+    blocks, counts, previous_alive = [], [], []
 
     def tracked(self, rng, count):
-        previous_alive.append(bool(blocks) and blocks[-1]() is not None)
+        previous_alive.append(any(ref() is not None for ref in blocks))
+        counts.append(count)
         blk = sample_block(self, rng, count)
         blocks.append(weakref.ref(blk))
         return blk
 
     monkeypatch.setattr(ArrivalModel, "sample_block", tracked)
     run(small_cfg(c=ones_cost(n), model=bernoulli(0.3, n), measured=300, warmup=100))
-    assert len(blocks) == 7
+    assert counts == [64] * 6 + [16]  # _CHUNK // n^2 rows a call, then the rest
     assert not any(previous_alive)
 
 
 @pytest.mark.parametrize("n", [2, 5, 8], ids=["n2-faces", "n5-nnls", "n8-hungarian"])
 def test_run_ssc_samples_match_single_grid_projections(monkeypatch, n):
     # Sampled states are buffered and projected as stacks; a capacity of 7
-    # pairs and blocks of 96 slots put the flushes mid-block and leave a
-    # partial buffer at the end.  Every sample must equal the projection of
-    # the recorded Q(t) and Q(t+1) on its own.
+    # pairs and chunks of 96 slots put the flushes mid-chunk and the chunk
+    # edges mid-buffer, and leave a partial buffer at the end.  Every sample
+    # must equal the projection of the recorded Q(t) and Q(t+1) on its own.
     monkeypatch.setattr(simulator, "_SSC_PAIRS", 7)
-    monkeypatch.setattr(simulator, "_BLOCK", 96)
+    monkeypatch.setattr(simulator, "_CHUNK", 96 * n * n)
     c = CostMatrix(np.random.default_rng(n).uniform(0.5, 2.0, (n, n))) if n > 2 else ones_cost()
     stats = run(small_cfg(c=c, model=bernoulli(0.1, n), measured=1_500, warmup=300,
                           ssc_stride=13, record_slots=True))
@@ -227,11 +229,11 @@ def _assert_same_stats(got, want):
 )
 @pytest.mark.parametrize("rows", [1, 7])
 def test_run_chunk_edges_change_no_output(monkeypatch, cost, model, rows):
-    # The recursion hands its records to _reduce_chunk in chunks.  Chunks of
-    # 1 and 7 slots in blocks of 96 put chunk edges mid-batch (batches of
-    # 50), at and across the warmup edge (250) and mid-block; no output may
-    # move.
-    monkeypatch.setattr(simulator, "_BLOCK", 96)
+    # Each chunk is sampled, advanced and reduced on its own.  Chunks of 96
+    # against chunks of 1 and 7 slots put the edges mid-batch (batches of
+    # 50), at and across the warmup edge (250) and in different places of
+    # the arrival stream; no output may move.
+    monkeypatch.setattr(simulator, "_CHUNK", 96 * cost.n**2)
     cfg = RunConfig(c=cost, model=model, measured=1_500, warmup=250, ssc_stride=13,
                     record_slots=True, seed=7, stream_key=(1,))
     want = run(cfg)
@@ -286,9 +288,9 @@ def test_reduce_chunk_detects_a_wrong_update(fault):
 
 def test_run_memory_does_not_grow_with_slots(monkeypatch):
     # Statistics are reduced per chunk: nothing the reduction keeps may pin a
-    # chunk or an arrival block, so ten times the slots stay in the same peak.
+    # chunk or its arrivals, so ten times the slots stay in the same peak.
     # Both runs fill the SSC buffer, so both project full stacks.
-    monkeypatch.setattr(simulator, "_BLOCK", 256)
+    monkeypatch.setattr(simulator, "_CHUNK", 256 * 8 * 8)
     monkeypatch.setattr(simulator, "_SSC_PAIRS", 16)
     cfg = small_cfg(c=ones_cost(8), model=bernoulli(0.2, 8), warmup=500)
     peaks = []
@@ -325,19 +327,29 @@ def test_run_hungarian_mode_matches_dynamics():
 
 
 @pytest.mark.parametrize(
-    "cost, model",
+    "cost, model, arrivals",
     [
-        (CostMatrix([[1.0, 2.0], [2.0, 1.0]]), bernoulli(0.1)),
-        (checker(4), bernoulli(0.1, 4)),
-        (checker(5), bernoulli(0.1, 5)),
-        (CostMatrix(np.random.default_rng(8).uniform(0.5, 2.0, (8, 8))), bernoulli(0.2, 8)),
+        (CostMatrix([[1.0, 2.0], [2.0, 1.0]]), bernoulli(0.1), "recorded"),
+        (checker(4), bernoulli(0.1, 4), "recorded"),
+        (checker(5), bernoulli(0.1, 5), "recorded"),
+        (CostMatrix(np.random.default_rng(8).uniform(0.5, 2.0, (8, 8))), bernoulli(0.2, 8),
+         "recorded"),
         (CostMatrix(np.random.default_rng(9).uniform(0.5, 2.0, (9, 9))),
-         ArrivalModel.truncated_poisson(uniform_nu(9), 0.2, a_max=3)),
+         ArrivalModel.truncated_poisson(uniform_nu(9), 0.2, a_max=3), "recorded"),
+        (CostMatrix(np.random.default_rng(9).uniform(0.5, 2.0, (9, 9))),
+         ArrivalModel.truncated_poisson(uniform_nu(9), 0.2, a_max=2), None),
+        (checker(3), ArrivalModel.uniform_integer(uniform_nu(3), 0.1, a_max=3), None),
     ],
     ids=["n2-exact", "n4-checker-exact", "n5-checker-exact", "n8-hungarian",
-         "n9-hungarian-poisson"],
+         "n9-hungarian-poisson", "n9-hungarian-poisson-sampled",
+         "n3-exact-uniform-integer-sampled"],
 )
-def test_step_replay_matches_run_bit_for_bit(cost, model):
+def test_step_replay_matches_run_bit_for_bit(cost, model, arrivals):
+    # With arrivals=None, step samples each slot's arrivals itself from a
+    # fresh copy of the run's arrival stream, one slot per call, while run
+    # samples them a chunk at a time; the two must agree for every law.  At
+    # a_max = 2 some untruncated Poisson draws land above the support, so a
+    # sampler that redraws them would split the two streams.
     n = cost.n
     exact = matcher_mode(n) == "exact-enumeration"
     cfg = RunConfig(
@@ -352,7 +364,9 @@ def test_step_replay_matches_run_bit_for_bit(cost, model):
     for rec in stats.records:
         if exact:
             ties += len(enumerate_argmax(state.Q, cost)) > 1
-        state, got = step(state, cfg.model, cost, a_rng, t_rng, arrivals=rec.A)
+        replayed = rec.A if arrivals == "recorded" else None
+        state, got = step(state, cfg.model, cost, a_rng, t_rng, arrivals=replayed)
+        assert np.array_equal(got.A, rec.A), f"arrivals differ at slot {rec.t}"
         Q = Q + rec.A - rec.S + rec.U
         assert np.array_equal(got.S, rec.S), f"schedule differs at slot {rec.t}"
         assert np.array_equal(got.U, rec.U), f"unused service differs at slot {rec.t}"
@@ -360,8 +374,8 @@ def test_step_replay_matches_run_bit_for_bit(cost, model):
         assert got.weighted_qsum == rec.weighted_qsum, f"weighted sum differs at slot {rec.t}"
         assert cdot(state.Q, got.U, cost) == 0.0
     assert not exact or ties > 100  # the exact cases exercise the tie-break
-    # Multi-packet arrivals reach the slot update only through truncated-Poisson
-    # arrivals; the n = 9 case must see them.
+    # Multi-packet arrivals reach the slot update only through the
+    # non-Bernoulli cases; each must see them.
     multi = sum(int(rec.A.max() > 1) for rec in stats.records)
     assert model.kind == "bernoulli" or multi > 100
 
@@ -404,26 +418,27 @@ def test_exact_run_pinned(n, measured, expected):
             [349, 344, 356, 300, 356, 339, 339, 358], [314, 360, 331, 339, 343, 348, 315, 324]])),
         (CostMatrix(np.random.default_rng(12).uniform(0.5, 2.0, (12, 12))),
          ArrivalModel.truncated_poisson(uniform_nu(12), 0.1, a_max=4), 1500,
-         (97.17347684637315, 4.797818767862547, 1.1913333333333334, [
-            [111, 105, 111, 114, 106, 90, 113, 107, 108, 100, 129, 110],
-            [101, 91, 127, 114, 150, 129, 116, 112, 111, 119, 103, 131],
-            [104, 98, 132, 116, 119, 113, 127, 117, 107, 126, 98, 135],
-            [95, 102, 131, 124, 124, 123, 113, 103, 99, 132, 99, 122],
-            [111, 106, 112, 114, 123, 104, 96, 125, 117, 113, 138, 108],
-            [110, 121, 113, 110, 105, 98, 98, 122, 86, 122, 111, 117],
-            [110, 114, 106, 98, 123, 122, 110, 115, 120, 128, 109, 123],
-            [113, 116, 112, 110, 116, 90, 106, 95, 117, 113, 117, 116],
-            [110, 109, 116, 116, 99, 106, 96, 133, 111, 119, 114, 104],
-            [114, 112, 111, 126, 117, 106, 122, 106, 107, 120, 103, 113],
-            [120, 105, 112, 107, 106, 126, 116, 118, 106, 123, 96, 105],
-            [123, 128, 104, 123, 105, 111, 106, 110, 112, 130, 86, 99]])),
+         (107.33869924997114, 2.50214037858615, 1.1019999999999999, [
+            [124, 100, 105, 125, 105, 114, 117, 100, 122, 148, 118, 127],
+            [120, 120, 110, 112, 127, 115, 121, 105, 104, 96, 114, 137],
+            [109, 110, 118, 121, 110, 99, 116, 115, 125, 109, 114, 133],
+            [100, 117, 116, 103, 125, 103, 118, 131, 104, 112, 95, 120],
+            [106, 131, 106, 107, 116, 134, 116, 103, 117, 121, 110, 98],
+            [114, 113, 111, 99, 106, 117, 102, 114, 123, 113, 117, 131],
+            [124, 111, 119, 128, 97, 113, 115, 125, 117, 115, 107, 102],
+            [121, 110, 91, 98, 112, 107, 83, 131, 124, 104, 113, 113],
+            [108, 118, 121, 119, 100, 124, 115, 111, 108, 115, 102, 117],
+            [132, 114, 103, 117, 111, 100, 124, 93, 113, 125, 118, 103],
+            [96, 116, 98, 112, 120, 114, 117, 98, 119, 125, 93, 103],
+            [119, 124, 113, 113, 122, 121, 116, 138, 108, 120, 115, 102]])),
     ],
     ids=["n8-unit-bernoulli", "n12-random-poisson"],
 )
 def test_hungarian_run_pinned(cost, model, measured, expected):
     # Values produced by the list-state engine, which ran the Hungarian
     # solver on a Python queue list; the array slot update must reproduce
-    # them bit for bit.
+    # them bit for bit.  The truncated-Poisson case was re-pinned when
+    # arrivals moved to one inverse-transform draw per queue-slot.
     cfg = RunConfig(c=cost, model=model, measured=measured, warmup=300,
                     seed=17, stream_key=(0, 1))
     stats = run(cfg)

@@ -84,6 +84,50 @@ def test_sample_moments_match_analytic(rng):
         assert np.all(np.abs(x.var(axis=0) - mom.var.ravel()) <= 4 * se_var)
 
 
+def _laws(nu, poisson_a_max=10):
+    return (
+        ArrivalModel.bernoulli(nu, 0.2),
+        ArrivalModel.uniform_integer(nu, 0.2, a_max=3),
+        ArrivalModel.truncated_poisson(nu, 0.2, a_max=poisson_a_max),
+    )
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "uniform-integer", "truncated-poisson"])
+def test_sample_stream_does_not_depend_on_block_size(kind):
+    # One uniform per queue-slot: one block of 2m slots, two blocks of m and
+    # m single slots read the same stream.  At a_max = 2 about one
+    # untruncated Poisson draw in 400 lands above the support, which a
+    # sampler that redraws such values would feel.
+    (model,) = [m for m in _laws(uniform_nu(3), poisson_a_max=2) if m.kind == kind]
+    m = 200
+    whole = model.sample_block(np.random.default_rng(5), 2 * m)
+    rng = np.random.default_rng(5)
+    halves = np.concatenate([model.sample_block(rng, m), model.sample_block(rng, m)])
+    rng = np.random.default_rng(5)
+    slots = np.array([model.sample(rng).ravel() for _ in range(2 * m)])
+    assert kind == "bernoulli" or whole.max() > 1
+    assert whole.dtype == halves.dtype == np.int64
+    assert np.array_equal(whole, halves)
+    assert np.array_equal(whole, slots)
+
+
+@pytest.mark.parametrize("nu", [uniform_nu(3), np.array([[0.5, 0.25, 0.25],
+                                                         [0.2, 0.5, 0.3],
+                                                         [0.3, 0.25, 0.45]])],
+                         ids=["uniform-nu", "nonuniform-nu"])
+@pytest.mark.parametrize("poisson_a_max", [10, 2])
+def test_survival_table_agrees_with_moments(nu, poisson_a_max):
+    # sum_k P(A >= k) = E[A] and sum_k (2k - 1) P(A >= k) = E[A^2]: a table
+    # off by one in k (P(A > k)) misses both.
+    for model in _laws(nu, poisson_a_max):
+        S = model._survival
+        assert S.shape == (nu.size, model.a_max)
+        mom = model.moments()
+        k = np.arange(1, model.a_max + 1)
+        assert np.allclose(S.sum(axis=1), mom.mean.ravel(), rtol=1e-12, atol=0), model.kind
+        assert np.allclose(S @ (2 * k - 1), mom.second_moment.ravel(), rtol=1e-12, atol=0), model.kind
+
+
 def test_high_epsilon_rarely_arrives(rng):
     m = ArrivalModel.bernoulli(uniform_nu(2), epsilon=0.999)
     x = m.sample_block(rng, 100_000)
