@@ -96,11 +96,19 @@ def _integer(value, where: str) -> int:
 
 
 def _number(value, where: str) -> float:
-    """``value``, which must be a JSON number; a string or a boolean is an
-    error, not converted."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
+    """``value``, which must be a finite JSON number; a string or a boolean is
+    an error, not converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _matrix(value, n: int, where: str) -> np.ndarray:
+    """``value``, which must be n lists of n finite JSON numbers."""
+    if not (isinstance(value, list) and len(value) == n
+            and all(isinstance(row, list) and len(row) == n for row in value)):
+        raise ConfigError(f"{where} must be {n}x{n}")
+    return np.array([[_number(x, f"{where} entry") for x in row] for row in value])
 
 
 # The keys of a "cost" object: "matrix" alone (so not with "preset"), or
@@ -121,14 +129,11 @@ def _expand_cost(n: int, spec) -> np.ndarray:
         raise ConfigError(f"unknown cost preset {preset!r}")
     _object(spec, f"cost ({preset})", _COST_KEYS[preset])
     if preset == "matrix":
-        m = np.array(spec["matrix"], dtype=float)
-        if m.shape != (n, n):
-            raise ConfigError(f"cost matrix must be {n}x{n}")
-        return m
+        return _matrix(spec["matrix"], n, "cost matrix")
     if preset == "ones":
         return np.ones((n, n))
     if preset == "checker":
-        a, b = float(spec.get("a", 1.0)), float(spec.get("b", 2.0))
+        a, b = _number(spec.get("a", 1.0), "cost a"), _number(spec.get("b", 2.0), "cost b")
         m = np.full((n, n), a)
         for i in range(n):
             for j in range(n):
@@ -136,17 +141,14 @@ def _expand_cost(n: int, spec) -> np.ndarray:
                     m[i, j] = b
         return m
     rng = np.random.default_rng(_integer(spec.get("seed", 0), "cost seed"))
-    lo, hi = float(spec.get("lo", 0.5)), float(spec.get("hi", 2.0))
+    lo, hi = _number(spec.get("lo", 0.5), "cost lo"), _number(spec.get("hi", 2.0), "cost hi")
     return rng.uniform(lo, hi, (n, n))
 
 
 def _expand_nu(n: int, spec) -> np.ndarray:
     if spec == "uniform" or spec is None:
         return uniform_nu(n)
-    nu = np.array(spec, dtype=float)
-    if nu.shape != (n, n):
-        raise ConfigError(f"nu must be {n}x{n}")
-    return nu
+    return _matrix(spec, n, "nu")
 
 
 @dataclass(eq=False, frozen=True)
@@ -182,6 +184,8 @@ class ExperimentConfig:
             raise ConfigError("nu must have unit row and column sums")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         off_grid = [e for e in self.slots_by_epsilon if e not in self.epsilon_grid]
         if off_grid:
             raise ConfigError(f"slots_by_epsilon keys not on epsilon_grid: {off_grid}")
@@ -218,6 +222,8 @@ class ExperimentConfig:
         arrival = _object(doc.get("arrival", {}), "arrival", _ARRIVAL_KEYS)
         try:
             n = _integer(doc["n"], "n")
+            if n < 2:  # before the cost and nu are built n x n
+                raise ConfigError("n must be >= 2")
             cost = _expand_cost(n, doc.get("cost", {"preset": "ones"}))
             kind = arrival.get("kind", "bernoulli")
             nu = _expand_nu(n, arrival.get("nu", "uniform"))
@@ -246,7 +252,7 @@ class ExperimentConfig:
             )
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed configuration: {exc}") from exc
 
     def to_dict(self) -> dict:
@@ -530,6 +536,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     results = validate.run_suite(seed=args.seed, verbose=args.verbose)
     ok = all(r.ok for r in results)
     total = sum(r.seconds for r in results)

@@ -56,8 +56,6 @@ TIEBREAK_STREAM = 1
 BATCH_COUNT = 30
 # Queue entries per chunk of slots that run samples, advances and reduces.
 _CHUNK = 65536
-# SSC sample pairs (Q(t), Q(t+1)) buffered per project_cone call.
-_SSC_PAIRS = 512
 # Samples within this relative distance of kappa count as perp norm >= kappa.
 _KAPPA_RTOL = 1e-9
 
@@ -200,17 +198,19 @@ def _wnorm(v: np.ndarray, c: np.ndarray) -> float:
     return math.sqrt(float(np.vdot(v, c * v)))
 
 
-def _project_pairs(pairs: np.ndarray, cost: CostMatrix, perp: list, par: list, drift: list):
-    """Project the buffered sample pairs, (k, 2, n^2) float rows of Q(t) and
-    Q(t+1), as one stack and append each pair's perp norm, par norm and perp
-    drift, in buffer order."""
+def _project_pairs(Q: np.ndarray, Qn: np.ndarray, cost: CostMatrix, perp: list, par: list,
+                   drift: list):
+    """Project the sampled rows of one chunk, Q(t) in ``Q`` and Q(t+1) in
+    ``Qn``, both (k, n^2), as one ``project_cone`` stack each, and append each
+    sample's perp norm, par norm and perp drift, in slot order."""
     n = cost.n
-    proj = project_cone(pairs.reshape(-1, n, n), cost)
-    for before, par_before, after in zip(proj.perp[0::2], proj.parallel[0::2], proj.perp[1::2]):
-        w_before = _wnorm(before, cost.c)
+    before = project_cone(Q.reshape(-1, n, n), cost)
+    after = project_cone(Qn.reshape(-1, n, n), cost)
+    for perp_before, par_before, perp_after in zip(before.perp, before.parallel, after.perp):
+        w_before = _wnorm(perp_before, cost.c)
         perp.append(w_before)
         par.append(_wnorm(par_before, cost.c))
-        drift.append(_wnorm(after, cost.c) - w_before)
+        drift.append(_wnorm(perp_after, cost.c) - w_before)
 
 
 def _uniforms(rng: np.random.Generator):
@@ -303,19 +303,10 @@ class _Reduction:
         self.unused = np.zeros(n2, dtype=np.int64)
         self.qu_violation = 0.0
         self.conservation_ok = True
-        # Sampled states wait here and are projected _SSC_PAIRS pairs at a time.
-        self.ssc_pairs = np.empty((_SSC_PAIRS, 2, n2))
-        self.n_pairs = 0
         self.perp: list[float] = []
         self.par: list[float] = []
         self.drift: list[float] = []
         self.records: list[SlotRecord] | None = [] if record_slots else None
-
-    def flush_pairs(self):
-        if self.n_pairs:
-            _project_pairs(self.ssc_pairs[: self.n_pairs], self.cost,
-                           self.perp, self.par, self.drift)
-            self.n_pairs = 0
 
 
 def _reduce_chunk(red: _Reduction, A: np.ndarray, Qn: np.ndarray, served: np.ndarray):
@@ -358,14 +349,8 @@ def _reduce_chunk(red: _Reduction, A: np.ndarray, Qn: np.ndarray, served: np.nda
         stride = red.ssc_stride
         first = red.warmup + -(-(t0 + off - red.warmup) // stride) * stride - t0
         idx = np.arange(first, m, stride)
-        while idx.size:
-            k = min(idx.size, len(red.ssc_pairs) - red.n_pairs)
-            red.ssc_pairs[red.n_pairs : red.n_pairs + k, 0] = Q[idx[:k]]
-            red.ssc_pairs[red.n_pairs : red.n_pairs + k, 1] = Qn[idx[:k]]
-            red.n_pairs += k
-            idx = idx[k:]
-            if red.n_pairs == len(red.ssc_pairs):
-                red.flush_pairs()
+        if idx.size:
+            _project_pairs(Q[idx], Qn[idx], cost, red.perp, red.par, red.drift)
 
     if red.records is not None:
         S = np.zeros((m, n2), dtype=np.int64)
@@ -452,9 +437,9 @@ def run(cfg: RunConfig) -> RunStats:
     with array operations, for both engines alike.  Chunk edges change no
     output bit.
 
-    SSC sampling copies Q(t) and Q(t+1) into a buffer of ``_SSC_PAIRS``
-    pairs, which is projected as one ``project_cone`` stack when full and
-    once after the last slot; it draws no random numbers.
+    SSC sampling projects the sampled Q(t) rows of a chunk as one
+    ``project_cone`` stack and their Q(t+1) rows as another, so it keeps no
+    state between chunks and draws no random numbers.
     """
     cost, model = cfg.c, cfg.model
     n = cost.n
@@ -471,7 +456,6 @@ def run(cfg: RunConfig) -> RunStats:
     total = warmup + measured
     for t0 in range(0, total, rows):
         _reduce_chunk(red, *advance(model.sample_block(arrival_rng, min(rows, total - t0))))
-    red.flush_pairs()
 
     perp = np.asarray(red.perp)
     par = np.asarray(red.par)

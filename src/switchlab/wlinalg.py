@@ -427,12 +427,11 @@ def cone_kkt_residual(x, proj: ConeProjection, cost: CostMatrix) -> float:
     together are equivalent to the KKT conditions of the projection.
     """
     n = cost.n
-    resid = cost.c * (_as_grid(x, n) - proj.parallel)   # c .* (x - p)
-    # <x - p, g> for each generator reduces to row / column sums of (x - p).
     diff = _as_grid(x, n) - proj.parallel
+    # <x - p, g> for each generator reduces to row / column sums of (x - p).
     row_sums = diff.sum(axis=1)
     col_sums = diff.sum(axis=0)
     worst = max(float(row_sums.max(initial=0.0)), float(col_sums.max(initial=0.0)))
     # y = 0 and y = 2p bracket <x - p, p> around zero.
-    p_dot = float((resid * proj.parallel).sum())
+    p_dot = float((cost.c * diff * proj.parallel).sum())
     return max(worst, abs(p_dot))

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from switchlab import cli
+from switchlab import cli, simulator
 from switchlab.cli import ExperimentConfig, load_config, run_sweep
 from switchlab.scheduling import Schedule
 from switchlab.traffic import ArrivalModel
@@ -145,6 +148,15 @@ def test_integral_floats_are_integers(tmp_path):
         {"epsilon_grid": ["0.3"]},
         {"epsilon_grid": [0.3, True]},
         {"slots_by_epsilon": {"0.2": 100, "0.20": 200}},
+        {"seed": -1},
+        {"n": 0},
+        {"cost": {"preset": "checker", "a": "2", "b": True}},
+        {"cost": {"preset": "random", "lo": "0.5"}},
+        {"cost": {"preset": "random", "hi": True}},
+        {"cost": {"preset": "random", "lo": -math.inf}},
+        {"cost": {"preset": "random", "lo": -1e308, "hi": 1e308}},
+        {"cost": {"matrix": [["2", 1], [1, True]]}},
+        {"arrival": {"nu": [["0.5", 0.5], [0.5, "0.5"]]}},
     ],
     ids=["matcher-mode", "arrival-kind", "nu-zero-entry", "batch-count", "sigma2-shape",
          "arrival-not-object", "slots-by-epsilon-not-object", "unknown-key",
@@ -152,13 +164,106 @@ def test_integral_floats_are_integers(tmp_path):
          "cost-key-of-other-preset", "cost-matrix-and-preset", "cost-matrix-extra-key",
          "cost-random-with-checker-key",
          "n-fraction", "slots-bool", "epsilon-repeated", "epsilon-string", "epsilon-bool",
-         "slots-by-epsilon-two-spellings"],
+         "slots-by-epsilon-two-spellings", "seed-negative", "n-zero", "cost-checker-string-bool",
+         "cost-random-lo-string", "cost-random-hi-bool", "cost-random-lo-infinite",
+         "cost-random-range-overflows", "cost-matrix-string-bool", "nu-strings"],
 )
 def test_cmd_sweep_bad_config_exits_before_workers(tmp_path, capsys, change):
     path = write_cfg(tmp_path, base_doc(tmp_path, **change))
     assert cli.main(["sweep", "--config", path, "--jobs", "2"]) == 1
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, seed_in_doc",
+    [("sweep", False), ("simulate", False), ("validate", False), ("zeta", True),
+     ("lower-bound", True)],
+)
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command, seed_in_doc):
+    # From --seed, or from the document for the commands without the flag.
+    doc = base_doc(tmp_path, seed=-1 if seed_in_doc else 17)
+    config = [] if command == "validate" else ["--config", write_cfg(tmp_path, doc)]
+    flag = [] if seed_in_doc else ["--seed", "-1"]
+    assert cli.main([command, *config, *flag]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
+# Values of the wrong JSON type, and numbers out of range.  Floats
+# stay small: an integral one is read as an integer, and n or slots of 1e5
+# would build a 10^10-entry matrix or run for hours.
+_JUNK = st.one_of(st.booleans(), st.floats(-3.0, 3.0),
+                  st.sampled_from([math.nan, math.inf, -math.inf]),
+                  st.text(max_size=2), st.lists(st.integers(-1, 2), max_size=2), st.just({}))
+
+
+def _or_junk(strategy):
+    return st.one_of(strategy, _JUNK)
+
+
+_NUMBER = st.one_of(st.integers(-2, 4), st.floats(-1.0, 4.0))
+_COST = st.one_of(
+    st.fixed_dictionaries({"preset": st.sampled_from(["ones", "nope"])}),
+    st.fixed_dictionaries({"preset": st.just("checker")},
+                          optional={"a": _or_junk(_NUMBER), "b": _or_junk(_NUMBER)}),
+    st.fixed_dictionaries({"preset": st.just("random")},
+                          optional={"seed": _or_junk(st.integers(-2, 5)),
+                                    "lo": _or_junk(_NUMBER), "hi": _or_junk(_NUMBER)}),
+    st.fixed_dictionaries({"matrix": st.lists(st.lists(_NUMBER, min_size=1, max_size=3),
+                                              min_size=1, max_size=3)}),
+)
+_ARRIVAL = st.fixed_dictionaries({}, optional={
+    "kind": st.sampled_from(["bernoulli", "uniform-integer", "truncated-poisson", "x"]),
+    "nu": st.sampled_from(["uniform", [[0.5, 0.5], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]]]),
+    "a_max": st.integers(-1, 4),
+})
+
+
+@st.composite
+def _config_docs(draw):
+    """A document near the schema, with up to two values replaced by junk.
+    "slots" and "warmup" are always given: their defaults run 10^5 slots or
+    more."""
+    doc = draw(st.fixed_dictionaries(
+        {
+            "n": st.integers(2, 4),
+            "epsilon_grid": st.lists(st.floats(0.01, 0.99) | st.floats(-0.5, 1.5),
+                                     min_size=1, max_size=3),
+            "slots": st.integers(30, 300),
+            "warmup": st.integers(-5, 100),
+        },
+        optional={
+            "cost": _COST,
+            "arrival": _ARRIVAL,
+            "slots_by_epsilon": st.dictionaries(st.sampled_from(["0.2", "0.5", "x"]),
+                                                st.integers(-5, 300), max_size=2),
+            "replications": st.integers(-1, 3),
+            "seed": st.integers(-3, 3),
+            "ssc_sampling_stride": st.integers(-1, 400),
+            "output_dir": st.text(max_size=3),
+        },
+    ))
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=2, unique=True)):
+        doc[key] = draw(_JUNK)
+    return doc
+
+
+_SMALL = {"n": 2, "epsilon_grid": [0.2], "slots": 60, "warmup": 10}
+
+
+@settings(max_examples=300, deadline=None)
+@example(dict(_SMALL, seed=-1))
+@example(dict(_SMALL, n=0))
+@given(_config_docs())
+def test_config_documents_are_refused_or_run(doc):
+    # Every document either fails to parse with a ConfigError or runs.
+    try:
+        cfg = ExperimentConfig.from_dict(doc)
+    except cli.ConfigError:
+        return
+    stats = simulator.run(cfg.run_config(0))
+    assert stats.measured_slots <= 300 and stats.conservation_ok
 
 
 def test_load_config_missing(tmp_path):

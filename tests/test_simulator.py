@@ -171,29 +171,33 @@ def test_run_releases_each_arrival_block_before_sampling_the_next(monkeypatch, n
     assert not any(previous_alive)
 
 
-@pytest.mark.parametrize("n", [2, 5, 8], ids=["n2-faces", "n5-nnls", "n8-hungarian"])
-def test_run_ssc_samples_match_single_grid_projections(monkeypatch, n):
-    # Sampled states are buffered and projected as stacks; a capacity of 7
-    # pairs and chunks of 96 slots put the flushes mid-chunk and the chunk
-    # edges mid-buffer, and leave a partial buffer at the end.  Every sample
-    # must equal the projection of the recorded Q(t) and Q(t+1) on its own.
-    monkeypatch.setattr(simulator, "_SSC_PAIRS", 7)
+@pytest.mark.parametrize(
+    "n, stride",
+    [(2, 13), (5, 13), (8, 13), (2, 131), (5, 131), (8, 131)],
+    ids=["n2-faces", "n5-nnls", "n8-hungarian",
+         "n2-faces-stride131", "n5-nnls-stride131", "n8-hungarian-stride131"],
+)
+def test_run_ssc_samples_match_single_grid_projections(monkeypatch, n, stride):
+    # The sampled states of each chunk are projected as stacks.  Chunks of 96
+    # slots hold seven or eight samples at stride 13 and one or none at
+    # stride 131.  Every sample must equal the projection of the recorded
+    # Q(t) and Q(t+1) on its own.
     monkeypatch.setattr(simulator, "_CHUNK", 96 * n * n)
     c = CostMatrix(np.random.default_rng(n).uniform(0.5, 2.0, (n, n))) if n > 2 else ones_cost()
     stats = run(small_cfg(c=c, model=bernoulli(0.1, n), measured=1_500, warmup=300,
-                          ssc_stride=13, record_slots=True))
+                          ssc_stride=stride, record_slots=True))
     Q = np.zeros((n, n), dtype=np.int64)
     perp, par, drift = [], [], []
     for rec in stats.records:
         Q_next = Q + rec.A - rec.S + rec.U
-        if rec.t >= stats.warmup_slots and (rec.t - stats.warmup_slots) % 13 == 0:
+        if rec.t >= stats.warmup_slots and (rec.t - stats.warmup_slots) % stride == 0:
             before = project_cone(Q.astype(float), c)
             after = project_cone(Q_next.astype(float), c)
             perp.append(simulator._wnorm(before.perp, c.c))
             par.append(simulator._wnorm(before.parallel, c.c))
             drift.append(simulator._wnorm(after.perp, c.c) - perp[-1])
         Q = Q_next
-    assert len(perp) % 7 and len(perp) > 3 * 7
+    assert len(perp) == -(-1_500 // stride)
     assert stats.perp_samples.tolist() == perp
     assert stats.par_samples.tolist() == par
     assert stats.drift_samples.tolist() == drift
@@ -267,7 +271,7 @@ def test_reduce_chunk_reads_unused_service_off_the_trajectory():
     assert red.served.tolist() == [2, 2, 2, 2]
     assert red.u_acc.means == [0.5, 1.5]
     assert red.w_acc.means == [0.0, 2.0]
-    assert red.n_pairs == 2 and red.t == 4 and red.q.tolist() == [1, 0, 1, 0]
+    assert len(red.perp) == 2 and red.t == 4 and red.q.tolist() == [1, 0, 1, 0]
 
 
 @pytest.mark.parametrize("fault", ["plus-one", "negative", "negative-and-consistent"])
@@ -286,13 +290,14 @@ def test_reduce_chunk_detects_a_wrong_update(fault):
     assert not red.conservation_ok
 
 
-def test_run_memory_does_not_grow_with_slots(monkeypatch):
+@pytest.mark.parametrize("n", [2, 8], ids=["n2-faces", "n8-hungarian"])
+def test_run_memory_does_not_grow_with_slots(monkeypatch, n):
     # Statistics are reduced per chunk: nothing the reduction keeps may pin a
-    # chunk or its arrivals, so ten times the slots stay in the same peak.
-    # Both runs fill the SSC buffer, so both project full stacks.
+    # chunk, its arrivals or its SSC stacks, so ten times the slots stay in
+    # the same peak.  Chunks hold 16384 queue entries (256 slots at n = 8,
+    # 4096 at n = 2), and each chunk's samples are projected as stacks.
     monkeypatch.setattr(simulator, "_CHUNK", 256 * 8 * 8)
-    monkeypatch.setattr(simulator, "_SSC_PAIRS", 16)
-    cfg = small_cfg(c=ones_cost(8), model=bernoulli(0.2, 8), warmup=500)
+    cfg = small_cfg(c=ones_cost(n), model=bernoulli(0.2, n), warmup=500)
     peaks = []
     for measured in (5_000, 50_000):
         tracemalloc.start()
