@@ -8,7 +8,7 @@ with exact analytic moments and a support bound a_max.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -19,7 +19,6 @@ __all__ = [
     "ArrivalModel",
     "MomentVector",
     "face_check",
-    "law_moments",
     "uniform_nu",
     "KINDS",
 ]
@@ -92,41 +91,33 @@ def _calibrate_trunc_poisson(target: float, a_max: int) -> float:
     return brentq(lambda r: _trunc_poisson_mean(r, a_max) - target, 1e-300, hi, xtol=1e-15, rtol=1e-15)
 
 
-def _per_distinct(fn, x: np.ndarray) -> np.ndarray:
-    """``fn`` of every entry of ``x``, evaluated once per distinct value."""
-    values, inverse = np.unique(x, return_inverse=True)
-    return np.array([fn(float(v)) for v in values])[inverse].reshape(x.shape)
+def _law(kind: str, mean: np.ndarray, a_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The law ``kind`` with support bound ``a_max`` and entrywise mean ``mean``.
 
-
-def _trunc_poisson_rates(mean: np.ndarray, a_max: int) -> np.ndarray:
-    """Calibrated rate of every entry of ``mean``, one solve per distinct value."""
-    return _per_distinct(lambda m: _calibrate_trunc_poisson(m, a_max), mean)
-
-
-def law_moments(kind: str, mean: np.ndarray, a_max: int, rates: np.ndarray | None = None) -> MomentVector:
-    """Analytic moments of one arrival law given its (entrywise) mean.
+    Returns its survival table S[q, k-1] = P(A_q >= k), k = 1..a_max, queues
+    in row-major order, the table sample_block inverts; and its closed-form
+    E[A^2], shaped like ``mean`` and computed beside the table, not from it.
 
     bernoulli: E[A^2] = mean.  uniform-integer is a zero-inflated uniform on
-    {0..a_max} hit with probability q = 2 mean / a_max, so E[A^2] =
-    q * a_max (2 a_max + 1) / 6.  truncated-poisson moments come from the
-    renormalized pmf at the calibrated rates.
+    {0..a_max} hit with probability q = 2 mean / a_max, so P(A = k) =
+    q / (a_max + 1) for k >= 1 and E[A^2] = q * a_max (2 a_max + 1) / 6.
+    truncated-poisson is the renormalized pmf at the rate calibrated to each
+    distinct mean, one solve per distinct value.
     """
-    mean = np.array(mean, dtype=float)
+    flat = mean.ravel()
     if kind == "bernoulli":
-        second = mean.copy()
-    elif kind == "uniform-integer":
+        return flat[:, None], mean.copy()
+    if kind == "uniform-integer":
         q = 2.0 * mean / a_max
-        if np.any(q > 1.0 + 1e-12):
-            raise ValueError("mean not reachable: need a_max >= 2 * mean")
-        second = q * a_max * (2 * a_max + 1) / 6.0
-    elif kind == "truncated-poisson":
-        if rates is None:
-            rates = _trunc_poisson_rates(mean, a_max)
-        k2 = np.arange(a_max + 1) ** 2
-        second = _per_distinct(lambda r: float((k2 * _trunc_poisson_pmf(r, a_max)).sum()), rates)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return MomentVector(mean=mean, var=second - mean**2, second_moment=second)
+        k = np.arange(1, a_max + 1)
+        S = q.ravel()[:, None] * (a_max + 1 - k) / (a_max + 1)
+        return S, q * a_max * (2 * a_max + 1) / 6.0
+    values, inverse = np.unique(flat, return_inverse=True)
+    pmf = np.array([_trunc_poisson_pmf(_calibrate_trunc_poisson(float(m), a_max), a_max) for m in values])
+    # Tail sums added from the top, so small tails keep their digits.
+    S = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1][inverse, 1:]
+    second = (np.arange(a_max + 1) ** 2 * pmf).sum(axis=1)
+    return S, second[inverse].reshape(mean.shape)
 
 
 @dataclass(eq=False)
@@ -137,7 +128,6 @@ class ArrivalModel:
     nu: np.ndarray
     epsilon: float
     a_max: int
-    _rates: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -148,39 +138,26 @@ class ArrivalModel:
         if nu.min() <= 0:
             raise ValueError("nu must be strictly positive")
         if not (0.0 < self.epsilon < 1.0):
-            raise ValueError("epsilon must lie in (0, 1)")
+            raise ValueError(f"epsilon {self.epsilon} outside (0, 1): load must be stable")
         if self.a_max < 1:
             raise ValueError("a_max must be a positive integer")
         nu.flags.writeable = False
         self.nu = nu
         # Feasibility is checked against the epsilon -> 0 mean (nu itself) so
         # that every epsilon in (0, 1), and the limit law, stay realizable.
-        # _survival[q, k-1] = P(A_q >= k), k = 1..a_max, queues in row-major
-        # order, is the table sample_block inverts.
-        mean = self.mean.ravel()
         if self.kind == "bernoulli":
             if self.a_max != 1:
                 raise ValueError("bernoulli arrivals have support bound 1")
             if nu.max() > 1.0:
                 raise ValueError("bernoulli mean above 1")
-            S = mean[:, None]
         elif self.kind == "uniform-integer":
             if 2.0 * nu.max() / self.a_max > 1.0:
                 raise ValueError("mean not reachable: need a_max >= 2 * nu")
-            # Zero-inflated uniform: P(A = k) = q / (a_max + 1) for k >= 1.
-            q = 2.0 * mean / self.a_max
-            k = np.arange(1, self.a_max + 1)
-            S = q[:, None] * (self.a_max + 1 - k) / (self.a_max + 1)
-        else:
-            if nu.max() >= self.a_max:
-                raise ValueError("need nu < a_max for the truncated law")
-            self._rates = _trunc_poisson_rates(self.mean, self.a_max)
-            rates, inverse = np.unique(self._rates.ravel(), return_inverse=True)
-            pmf = np.array([_trunc_poisson_pmf(float(r), self.a_max) for r in rates])
-            # Tail sums added from the top, so small tails keep their digits.
-            S = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1][inverse, 1:]
-        S.flags.writeable = False
-        self._survival = S
+        elif nu.max() >= self.a_max:
+            raise ValueError("need nu < a_max for the truncated law")
+        S, second = _law(self.kind, self.mean, self.a_max)
+        S.flags.writeable = second.flags.writeable = False
+        self._survival, self._second_moment = S, second
 
     # -------- constructors --------
 
@@ -208,12 +185,14 @@ class ArrivalModel:
 
     def moments(self) -> MomentVector:
         """Exact mean / variance / second moment of the configured law."""
-        return law_moments(self.kind, self.mean, self.a_max, rates=self._rates)
+        mean = self.mean
+        return MomentVector(mean=mean, var=self._second_moment - mean**2, second_moment=self._second_moment)
 
     def limit_moments(self) -> MomentVector:
-        """Moments of the epsilon -> 0 law (mean nu); variance limit used in
-        the heavy-traffic constant."""
-        return law_moments(self.kind, self.nu, self.a_max)
+        """Moments of the epsilon -> 0 law (mean nu), built like the model's
+        own; its variance is the one in the heavy-traffic constant."""
+        _, second = _law(self.kind, self.nu, self.a_max)
+        return MomentVector(mean=self.nu.copy(), var=second - self.nu**2, second_moment=second)
 
     # -------- sampling --------
 

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchlab import traffic
-from switchlab.traffic import ArrivalModel, face_check, law_moments, uniform_nu
+from switchlab.traffic import ArrivalModel, face_check, uniform_nu
 from switchlab.wlinalg import CostMatrix
 
 
@@ -33,7 +35,7 @@ def test_moments_bernoulli():
 
 def test_moments_uniform_integer_law():
     # plain uniform on {0, 1, 2} has mean 1 and variance 2/3
-    mom = law_moments("uniform-integer", np.array([[1.0]]), a_max=2)
+    mom = ArrivalModel.uniform_integer(np.array([[1.0]]), 0.5, a_max=2).limit_moments()
     assert mom.var[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert mom.second_moment[0, 0] == pytest.approx(5.0 / 3.0, abs=1e-15)
 
@@ -117,15 +119,42 @@ def test_sample_stream_does_not_depend_on_block_size(kind):
                          ids=["uniform-nu", "nonuniform-nu"])
 @pytest.mark.parametrize("poisson_a_max", [10, 2])
 def test_survival_table_agrees_with_moments(nu, poisson_a_max):
-    # sum_k P(A >= k) = E[A] and sum_k (2k - 1) P(A >= k) = E[A^2]: a table
-    # off by one in k (P(A > k)) misses both.
     for model in _laws(nu, poisson_a_max):
-        S = model._survival
-        assert S.shape == (nu.size, model.a_max)
-        mom = model.moments()
-        k = np.arange(1, model.a_max + 1)
+        _assert_table_matches_moments(model)
+
+
+def _assert_table_matches_moments(model):
+    # sum_k P(A >= k) = E[A] and sum_k (2k - 1) P(A >= k) = E[A^2]: a table
+    # off by one in k (P(A > k)) misses both.  The limit law is built by the
+    # same _law call at mean nu.
+    k = np.arange(1, model.a_max + 1)
+    limit_table, _ = traffic._law(model.kind, model.nu, model.a_max)
+    for S, mom in ((model._survival, model.moments()), (limit_table, model.limit_moments())):
+        assert S.shape == (model.nu.size, model.a_max)
         assert np.allclose(S.sum(axis=1), mom.mean.ravel(), rtol=1e-12, atol=0), model.kind
         assert np.allclose(S @ (2 * k - 1), mom.second_moment.ravel(), rtol=1e-12, atol=0), model.kind
+
+
+@st.composite
+def face_nu(draw):
+    """A strictly positive point of the face: a convex mixture of the n cyclic
+    shifts, which cover every entry, and of a few other permutations."""
+    n = draw(st.integers(1, 5))
+    perms = [np.roll(np.arange(n), r) for r in range(n)]
+    perms += [np.array(draw(st.permutations(range(n)))) for _ in range(draw(st.integers(0, 3)))]
+    weights = np.array([draw(st.floats(0.05, 1.0)) for _ in perms])
+    weights /= weights.sum()
+    nu = np.zeros((n, n))
+    for w, p in zip(weights, perms):
+        nu[np.arange(n), p] += w
+    return nu
+
+
+@settings(max_examples=100, deadline=None)
+@given(face_nu(), st.floats(0.01, 0.99), st.sampled_from(traffic.KINDS), st.integers(2, 10))
+def test_survival_table_agrees_with_moments_on_the_face(nu, eps, kind, a_max):
+    model = ArrivalModel(kind=kind, nu=nu, epsilon=eps, a_max=1 if kind == "bernoulli" else a_max)
+    _assert_table_matches_moments(model)
 
 
 def test_high_epsilon_rarely_arrives(rng):
@@ -152,19 +181,21 @@ def test_model_validation():
 
 
 def test_truncated_poisson_calibrates_each_distinct_mean_once(monkeypatch):
-    # Non-uniform nu with repeated entries: the rates equal per-entry
-    # calibration bit for bit, with one solve per distinct mean.
+    # Non-uniform nu with repeated entries: the table and the limit moments
+    # equal per-entry calibration bit for bit, with one solve per distinct
+    # mean.
     nu = np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
 
-    def per_entry(mean):
-        return np.array([[traffic._calibrate_trunc_poisson(float(m), 4) for m in row] for row in mean])
+    def per_entry_pmf(mean):
+        return [traffic._trunc_poisson_pmf(traffic._calibrate_trunc_poisson(float(m), 4), 4)
+                for m in mean.ravel()]
 
     m = ArrivalModel.truncated_poisson(nu, 0.1, a_max=4)
-    assert np.array_equal(m._rates, per_entry(m.mean))
+    want = np.array([np.cumsum(p[::-1])[::-1][1:] for p in per_entry_pmf(m.mean)])
+    assert np.array_equal(m._survival, want)
     lim = m.limit_moments()
     k = np.arange(5)
-    want = np.array([[float((k * k * traffic._trunc_poisson_pmf(float(r), 4)).sum()) for r in row]
-                     for row in per_entry(nu)])
+    want = np.array([float((k * k * p).sum()) for p in per_entry_pmf(nu)]).reshape(nu.shape)
     assert np.array_equal(lim.second_moment, want)
     assert np.array_equal(lim.var, want - nu**2)
 
@@ -180,3 +211,11 @@ def test_truncated_poisson_calibrates_each_distinct_mean_once(monkeypatch):
     assert len(solves) == 4
     ArrivalModel.truncated_poisson(uniform_nu(16), 0.1, a_max=4)
     assert len(solves) == 5
+
+
+def test_moments_cannot_change_the_model():
+    m = ArrivalModel.truncated_poisson(uniform_nu(2), 0.1, a_max=4)
+    mom = m.moments()
+    for a in (mom.second_moment, m._survival):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
