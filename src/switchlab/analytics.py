@@ -317,10 +317,10 @@ def pool_runs(reps: list[RunStats]) -> dict:
         "stderr_weighted_qsum": se,
         "unused_service_rate": urate,
         "stderr_unused_service": use,
-        "perp_mean": float(np.mean([r.mean_perp_norm_r[1] for r in reps])),
-        "perp2_mean": float(np.mean([r.mean_perp_norm_r[2] for r in reps])),
-        "perp4_mean": float(np.mean([r.mean_perp_norm_r[4] for r in reps])),
-        "par_mean": float(np.mean([r.mean_par_norm for r in reps])),
+        "perp_mean": float(np.mean([np.mean(r.perp_samples) for r in reps])),
+        "perp2_mean": float(np.mean([np.mean(r.perp_samples**2) for r in reps])),
+        "perp4_mean": float(np.mean([np.mean(r.perp_samples**4) for r in reps])),
+        "par_mean": float(np.mean([np.mean(r.par_samples) for r in reps])),
     }
 
 

@@ -153,7 +153,6 @@ def _expand_nu(n: int, spec) -> np.ndarray:
 
 @dataclass(eq=False, frozen=True)
 class ExperimentConfig:
-    n: int
     cost: np.ndarray
     arrival_kind: str
     nu: np.ndarray
@@ -225,7 +224,6 @@ class ExperimentConfig:
             if len(sbe) < len(by_eps):
                 raise ConfigError(f"slots_by_epsilon spells one epsilon twice: {list(by_eps)}")
             return cls(
-                n=n,
                 cost=cost,
                 arrival_kind=kind,
                 nu=nu,
@@ -262,6 +260,10 @@ class ExperimentConfig:
         }
 
     # -- derived objects --
+
+    @property
+    def n(self) -> int:
+        return self.cost.shape[0]
 
     def cost_matrix(self) -> CostMatrix:
         return self._run_configs[0].c
@@ -501,27 +503,31 @@ def cmd_simulate(args) -> int:
         "scaled_weighted_qsum": eps * stats.mean_weighted_qsum,
         "unused_service_rate": stats.unused_service_rate,
         "stderr_unused_service": stats.stderr_unused_service,
-        "mean_perp_norm": stats.mean_perp_norm_r[1],
-        "mean_perp_norm2": stats.mean_perp_norm_r[2],
-        "mean_perp_norm4": stats.mean_perp_norm_r[4],
-        "mean_par_norm": stats.mean_par_norm,
+        "mean_perp_norm": float(np.mean(stats.perp_samples)),
+        "mean_perp_norm2": float(np.mean(stats.perp_samples**2)),
+        "mean_perp_norm4": float(np.mean(stats.perp_samples**4)),
+        "mean_par_norm": float(np.mean(stats.par_samples)),
         "conservation_ok": stats.conservation_ok,
         "qu_dot_violation": stats.qu_dot_violation,
     }
     _json_dump(out / "run.json", doc)
     print(f"wrote {out / 'run.json'}")
     if args.trace is not None:
-        n = cfg.n
-        lines = ["t,i,j,Q,A,S,U"]
-        Q = np.zeros((n, n), dtype=np.int64)
-        for rec in stats.records:
-            Q = Q + rec.A - rec.S + rec.U
-            for i in range(n):
-                for j in range(n):
-                    lines.append(
-                        f"{rec.t},{i},{j},{Q[i, j]},{rec.A[i, j]},{rec.S[i, j]},{rec.U[i, j]}"
-                    )
-        Path(args.trace).write_text("\n".join(lines) + "\n")
+        # Q(t+1) = cumsum(A - S + U) from empty queues, a block of slots at a time.
+        rec, n2 = stats.records, cfg.n * cfg.n
+        ij = np.divmod(np.arange(n2), cfg.n)
+        block = max(1, simulator._CHUNK // n2)
+        q = np.zeros(n2, dtype=np.int64)
+        with open(args.trace, "w") as f:
+            f.write("t,i,j,Q,A,S,U\n")
+            for lo in range(0, len(rec.t), block):
+                A, S, U = (x[lo:lo + block].reshape(-1, n2) for x in (rec.A, rec.S, rec.U))
+                Q = q + np.cumsum(A - S + U, axis=0)
+                q = Q[-1]
+                cols = (np.repeat(rec.t[lo:lo + block], n2), *(np.tile(x, len(Q)) for x in ij),
+                        Q, A, S, U)
+                f.writelines(map("{},{},{},{},{},{},{}\n".format,
+                                 *(c.ravel().tolist() for c in cols)))
         print(f"wrote {args.trace}")
     return 0
 

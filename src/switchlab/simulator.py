@@ -104,11 +104,15 @@ class QueueState:
 
 @dataclass
 class SlotRecord:
-    t: int
+    """One slot from ``step``: ``t`` an int, ``A``, ``S``, ``U`` (n, n) int64,
+    ``weighted_qsum`` a float.  ``RunStats.records`` is one record of a whole
+    run, each field with a leading slot axis: ``t`` (T,), ``A``, ``S``, ``U``
+    (T, n, n) int64, ``weighted_qsum`` (T,) float64."""
+    t: int | np.ndarray
     A: np.ndarray
     S: np.ndarray
     U: np.ndarray
-    weighted_qsum: float
+    weighted_qsum: float | np.ndarray
 
 
 @dataclass
@@ -146,15 +150,13 @@ class RunStats:
     stderr_weighted_qsum: float
     unused_service_rate: float
     stderr_unused_service: float
-    mean_perp_norm_r: dict[int, float]
-    mean_par_norm: float
     perp_samples: np.ndarray
     par_samples: np.ndarray
     drift_samples: np.ndarray
     qu_dot_violation: float
     conservation_ok: bool
     departure_rate: np.ndarray
-    records: list[SlotRecord] | None = None
+    records: SlotRecord | None = None
 
 
 def _serve(q: list[int], a: list[int], idxs) -> list[int]:
@@ -285,11 +287,11 @@ class _BatchAcc:
 
 
 class _Reduction:
-    """Running statistics of one replication, which ``_reduce_chunk`` feeds
-    with the recorded slots one chunk at a time."""
+    """Running statistics of one replication, and its slot records or None,
+    which ``_reduce_chunk`` feeds and fills one chunk at a time."""
 
     def __init__(self, cost: CostMatrix, warmup: int, batch: int, ssc_stride: int,
-                 record_slots: bool):
+                 records: SlotRecord | None):
         n2 = cost.n * cost.n
         self.cost = cost
         self.warmup = warmup
@@ -306,7 +308,7 @@ class _Reduction:
         self.perp: list[float] = []
         self.par: list[float] = []
         self.drift: list[float] = []
-        self.records: list[SlotRecord] | None = [] if record_slots else None
+        self.records = records
 
 
 def _reduce_chunk(red: _Reduction, A: np.ndarray, Qn: np.ndarray, served: np.ndarray):
@@ -353,14 +355,11 @@ def _reduce_chunk(red: _Reduction, A: np.ndarray, Qn: np.ndarray, served: np.nda
             _project_pairs(Q[idx], Qn[idx], cost, red.perp, red.par, red.drift)
 
     if red.records is not None:
-        S = np.zeros((m, n2), dtype=np.int64)
-        S[rows, served] = 1
-        U = np.zeros((m, n2), dtype=np.int64)
-        U[rows, served] = u
-        red.records.extend(
-            map(SlotRecord, range(t0, t0 + m), A.reshape(m, n, n).copy(),
-                S.reshape(m, n, n), U.reshape(m, n, n), w.tolist())
-        )
+        rec, at = red.records, t0 + rows
+        rec.A[t0:t0 + m] = A.reshape(m, n, n)
+        rec.S.reshape(-1, n2)[at, served] = 1
+        rec.U.reshape(-1, n2)[at, served] = u
+        rec.weighted_qsum[t0:t0 + m] = w
     red.q = Qn[-1].copy()
     red.t = t0 + m
 
@@ -434,8 +433,8 @@ def run(cfg: RunConfig) -> RunStats:
     arrivals, serve, and record Q(t+1) and the served queues.
     ``_reduce_chunk`` computes unused service, the slot checks, the batch
     means, the served and unused counts, the SSC samples and the slot records
-    with array operations, for both engines alike.  Chunk edges change no
-    output bit.
+    (allocated once, written in place) with numpy, for both engines alike.
+    Chunk edges change no output bit.
 
     SSC sampling projects the sampled Q(t) rows of a chunk as one
     ``project_cone`` stack and their Q(t+1) rows as another, so it keeps no
@@ -451,18 +450,16 @@ def run(cfg: RunConfig) -> RunStats:
     engine = _exact_engine if mode == "exact-enumeration" else _hungarian_engine
     advance = engine(cost, tiebreak_rng)
     rows = max(1, _CHUNK // (n * n))
-    red = _Reduction(cost, warmup, batch, cfg.ssc_stride, cfg.record_slots)
-
     total = warmup + measured
+    records = None
+    if cfg.record_slots:
+        grids = (np.zeros((total, n, n), dtype=np.int64) for _ in "ASU")
+        records = SlotRecord(np.arange(total, dtype=np.int64), *grids, np.zeros(total))
+    red = _Reduction(cost, warmup, batch, cfg.ssc_stride, records)
+
     for t0 in range(0, total, rows):
         _reduce_chunk(red, *advance(model.sample_block(arrival_rng, min(rows, total - t0))))
 
-    perp = np.asarray(red.perp)
-    par = np.asarray(red.par)
-    drift = np.asarray(red.drift)
-    mean_perp = {
-        r: (float(np.mean(perp**r)) if perp.size else float("nan")) for r in (1, 2, 4)
-    }
     departures = red.served - red.unused
 
     return RunStats(
@@ -477,11 +474,9 @@ def run(cfg: RunConfig) -> RunStats:
         stderr_weighted_qsum=red.w_acc.stderr(),
         unused_service_rate=red.u_acc.mean(),
         stderr_unused_service=red.u_acc.stderr(),
-        mean_perp_norm_r=mean_perp,
-        mean_par_norm=float(par.mean()) if par.size else float("nan"),
-        perp_samples=perp,
-        par_samples=par,
-        drift_samples=drift,
+        perp_samples=np.asarray(red.perp),
+        par_samples=np.asarray(red.par),
+        drift_samples=np.asarray(red.drift),
         qu_dot_violation=red.qu_violation,
         conservation_ok=red.conservation_ok,
         departure_rate=(departures / measured).reshape(n, n),

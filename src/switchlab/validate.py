@@ -205,17 +205,15 @@ def _check_simulator(rng, matcher_fn) -> tuple[bool, str]:
     # on fresh copies of the run's streams; the replay must match slot for slot
     arrival_rng, tiebreak_rng = simulator.derive_rngs(cfg.seed, cfg.stream_key)
     state = simulator.QueueState.empty(cost.n)
-    replay = []
-    for rec in stats.records:
+    rec = stats.records
+    S, U, Q_next = (np.empty_like(rec.A) for _ in range(3))
+    for k, A in enumerate(rec.A):
         s = matcher_fn(state.Q, cost, tiebreak_rng)
         state, got = simulator.step(
-            state, model, cost, arrival_rng, tiebreak_rng, schedule=s, arrivals=rec.A
+            state, model, cost, arrival_rng, tiebreak_rng, schedule=s, arrivals=A
         )
-        replay.append((got.S, got.U, state.Q))
-    S, U, Q_next = (np.array(x) for x in zip(*replay))
-    rec_S = np.array([rec.S for rec in stats.records])
-    rec_U = np.array([rec.U for rec in stats.records])
-    departed = np.flatnonzero(((S != rec_S) | (U != rec_U)).any(axis=(1, 2)))
+        S[k], U[k], Q_next[k] = got.S, got.U, state.Q
+    departed = np.flatnonzero(((S != rec.S) | (U != rec.U)).any(axis=(1, 2)))
     if departed.size:
         return False, f"step replay departs from the run at slot {departed[0]}"
     if ((U < 0) | (U > 1) | (U > S)).any():
@@ -224,7 +222,7 @@ def _check_simulator(rng, matcher_fn) -> tuple[bool, str]:
     if overlap.size:
         return False, f"<Q(t+1), U(t)> nonzero at slot {overlap[0]}"
     return True, (
-        f"{len(replay)}-slot run replayed exactly through step; "
+        f"{len(S)}-slot run replayed exactly through step; "
         "<Q(t+1), U(t)> = 0, conservation, n*eps"
     )
 

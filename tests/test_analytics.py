@@ -210,8 +210,6 @@ def _fake_stats(eps, par, perp, qsum):
         warmup_slots=0, measured_slots=1000,
         mean_weighted_qsum=qsum, stderr_weighted_qsum=0.01,
         unused_service_rate=2 * eps, stderr_unused_service=0.001,
-        mean_perp_norm_r={1: perp, 2: perp**2, 4: perp**4},
-        mean_par_norm=par,
         perp_samples=np.array([perp]), par_samples=np.array([par]),
         drift_samples=np.array([0.0]),
         qu_dot_violation=0.0, conservation_ok=True,

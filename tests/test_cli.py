@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -91,6 +92,17 @@ def test_config_validation(tmp_path):
     for key, value in (("batch_count", 30), ("sigma2", None)):
         with pytest.raises(cli.ConfigError, match=rf"unknown key\(s\) in the document: '{key}'"):
             ExperimentConfig.from_dict(base_doc(tmp_path, **{key: value}))
+
+
+def test_config_size_is_the_cost_size():
+    # n is read off the cost, so it cannot disagree with it; a nu of another
+    # size fails the run's dimension check, as a config error.
+    kw = dict(cost=np.ones((2, 2)), arrival_kind="bernoulli", a_max=1,
+              epsilon_grid=[0.2], slots=1_000)
+    cfg = ExperimentConfig(nu=np.full((2, 2), 0.5), **kw)
+    assert cfg.n == 2 and cfg.to_dict()["n"] == 2
+    with pytest.raises(cli.ConfigError, match="cost and arrival dimensions differ"):
+        ExperimentConfig(nu=np.full((3, 3), 1 / 3), **kw)
 
 
 @pytest.mark.parametrize("bad", [2.5, True, False, "30"], ids=repr)
@@ -476,6 +488,29 @@ def test_cmd_simulate_with_trace(tmp_path):
             srv += s
         assert srv == 2
         prev = {key: cells[key][0] for key in cells}
+
+
+@pytest.mark.parametrize(
+    "doc, sha256",
+    [
+        (dict(n=3, cost={"preset": "checker", "a": 1, "b": 2},
+              arrival={"kind": "uniform-integer", "nu": "uniform", "a_max": 2},
+              epsilon_grid=[0.1], slots=600, warmup=100, seed=5),
+         "c162dd712347a74fd24b81d03be31c76af6b299c4ed1b8ad392ef6bd4f03e6ce"),
+        (dict(n=8, cost={"preset": "random", "seed": 3, "lo": 0.5, "hi": 2},
+              arrival={"kind": "truncated-poisson", "nu": "uniform", "a_max": 3},
+              epsilon_grid=[0.2], slots=300, warmup=60, seed=5),
+         "ce76761c3e060c0c38fe18cbbdeeba847a88b6951dd6b8ded22b8b35eda2d87d"),
+    ],
+    ids=["n3-uniform-integer", "n8-hungarian-poisson"],
+)
+def test_cmd_simulate_trace_pinned(tmp_path, doc, sha256):
+    # Bytes of the trace as the slot-by-slot writer produced them; the n = 3
+    # trace has multi-packet arrivals and tie-broken schedules.
+    path = write_cfg(tmp_path, base_doc(tmp_path, replications=1, **doc))
+    trace = tmp_path / "trace.csv"
+    assert cli.main(["simulate", "--config", path, "--trace", str(trace)]) == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == sha256
 
 
 # -------- validate command --------

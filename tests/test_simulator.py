@@ -106,13 +106,16 @@ def test_run_slot_records_and_conservation():
     stats = run(small_cfg(measured=5_000, warmup=500, record_slots=True, ssc_stride=10))
     assert stats.conservation_ok
     assert stats.qu_dot_violation == 0.0
-    Q = np.zeros((2, 2), dtype=np.int64)
-    for rec in stats.records:
-        Q = Q + rec.A - rec.S + rec.U
-        assert (Q >= 0).all()
-        assert (rec.U <= rec.S).all()
-        assert float((Q * rec.U).sum()) == 0.0
-    assert len(stats.records) == stats.warmup_slots + stats.measured_slots
+    rec = stats.records
+    Q = np.cumsum(rec.A - rec.S + rec.U, axis=0)  # Q(t+1), from empty queues
+    assert (Q >= 0).all()
+    assert (rec.U <= rec.S).all()
+    assert not (Q * rec.U).any()
+    T = stats.warmup_slots + stats.measured_slots
+    assert rec.t.tolist() == list(range(T))
+    for grid in (rec.A, rec.S, rec.U):
+        assert grid.dtype == np.int64 and grid.shape == (T, 2, 2)
+    assert rec.weighted_qsum.dtype == np.float64 and rec.weighted_qsum.shape == (T,)
 
 
 def test_run_reproducible():
@@ -186,17 +189,16 @@ def test_run_ssc_samples_match_single_grid_projections(monkeypatch, n, stride):
     c = CostMatrix(np.random.default_rng(n).uniform(0.5, 2.0, (n, n))) if n > 2 else ones_cost()
     stats = run(small_cfg(c=c, model=bernoulli(0.1, n), measured=1_500, warmup=300,
                           ssc_stride=stride, record_slots=True))
-    Q = np.zeros((n, n), dtype=np.int64)
+    rec = stats.records
+    Q_next = np.cumsum(rec.A - rec.S + rec.U, axis=0)
+    Q = np.concatenate((np.zeros((1, n, n), dtype=np.int64), Q_next[:-1]))
     perp, par, drift = [], [], []
-    for rec in stats.records:
-        Q_next = Q + rec.A - rec.S + rec.U
-        if rec.t >= stats.warmup_slots and (rec.t - stats.warmup_slots) % stride == 0:
-            before = project_cone(Q.astype(float), c)
-            after = project_cone(Q_next.astype(float), c)
-            perp.append(simulator._wnorm(before.perp, c.c))
-            par.append(simulator._wnorm(before.parallel, c.c))
-            drift.append(simulator._wnorm(after.perp, c.c) - perp[-1])
-        Q = Q_next
+    for t in range(stats.warmup_slots, len(rec.t), stride):
+        before = project_cone(Q[t].astype(float), c)
+        after = project_cone(Q_next[t].astype(float), c)
+        perp.append(simulator._wnorm(before.perp, c.c))
+        par.append(simulator._wnorm(before.parallel, c.c))
+        drift.append(simulator._wnorm(after.perp, c.c) - perp[-1])
     assert len(perp) == -(-1_500 // stride)
     assert stats.perp_samples.tolist() == perp
     assert stats.par_samples.tolist() == par
@@ -207,12 +209,9 @@ def _assert_same_stats(got, want):
     for f in dataclasses.fields(want):
         a, b = getattr(got, f.name), getattr(want, f.name)
         if f.name == "records":
-            assert len(a) == len(b)
-            for ra, rb in zip(a, b):
-                assert ra.t == rb.t and ra.weighted_qsum == rb.weighted_qsum
-                for grid in ("A", "S", "U"):
-                    x, y = getattr(ra, grid), getattr(rb, grid)
-                    assert x.dtype == y.dtype and np.array_equal(x, y), (ra.t, grid)
+            for g in dataclasses.fields(b):
+                x, y = getattr(a, g.name), getattr(b, g.name)
+                assert x.dtype == y.dtype and np.array_equal(x, y), g.name
         elif isinstance(b, np.ndarray):
             assert a.dtype == b.dtype and np.array_equal(a, b), f.name
         elif isinstance(b, float) and np.isnan(b):
@@ -243,7 +242,7 @@ def test_run_chunk_edges_change_no_output(monkeypatch, cost, model, rows):
     want = run(cfg)
     monkeypatch.setattr(simulator, "_CHUNK", rows * cost.n**2)
     got = run(cfg)
-    assert model.kind == "bernoulli" or max(rec.A.max() for rec in want.records) > 1
+    assert model.kind == "bernoulli" or want.records.A.max() > 1
     _assert_same_stats(got, want)
 
 
@@ -256,7 +255,7 @@ def _hand_chunk():
 
 
 def _reduction(q0=(0, 0, 0, 0)):
-    red = simulator._Reduction(ones_cost(), warmup=0, batch=2, ssc_stride=3, record_slots=False)
+    red = simulator._Reduction(ones_cost(), warmup=0, batch=2, ssc_stride=3, records=None)
     red.q = np.array(q0, dtype=np.int64)
     return red
 
@@ -307,6 +306,24 @@ def test_run_memory_does_not_grow_with_slots(monkeypatch, n):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_recorded_memory_is_the_record_arrays(monkeypatch, n):
+    # A recorded run fills one preallocated record in place, so its peak may
+    # grow with the slots only by about the bytes of the record itself.
+    monkeypatch.setattr(simulator, "_CHUNK", 1024)
+    cfg = small_cfg(c=ones_cost(n), model=bernoulli(0.2, n), warmup=500, record_slots=True)
+    peaks, sizes = [], []
+    for measured in (5_000, 20_000):
+        tracemalloc.start()
+        try:
+            rec = run(dataclasses.replace(cfg, measured=measured)).records
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(sum(getattr(rec, f.name).nbytes for f in dataclasses.fields(rec)))
+    assert peaks[1] - peaks[0] <= 1.5 * (sizes[1] - sizes[0])
 
 
 def test_step_validates_only_states_built_by_callers():
@@ -362,26 +379,27 @@ def test_step_replay_matches_run_bit_for_bit(cost, model, arrivals):
         measured=3_000, warmup=300, seed=31, stream_key=(2, 1), record_slots=True,
     )
     stats = run(cfg)
+    rec = stats.records
+    Q = np.cumsum(rec.A - rec.S + rec.U, axis=0)  # Q(t+1), from empty queues
     a_rng, t_rng = derive_rngs(cfg.seed, cfg.stream_key)
     state = QueueState.empty(n)
-    Q = state.Q
     ties = 0
-    for rec in stats.records:
+    for t in rec.t:
         if exact:
             ties += len(enumerate_argmax(state.Q, cost)) > 1
-        replayed = rec.A if arrivals == "recorded" else None
+        replayed = rec.A[t] if arrivals == "recorded" else None
         state, got = step(state, cfg.model, cost, a_rng, t_rng, arrivals=replayed)
-        assert np.array_equal(got.A, rec.A), f"arrivals differ at slot {rec.t}"
-        Q = Q + rec.A - rec.S + rec.U
-        assert np.array_equal(got.S, rec.S), f"schedule differs at slot {rec.t}"
-        assert np.array_equal(got.U, rec.U), f"unused service differs at slot {rec.t}"
-        assert np.array_equal(state.Q, Q), f"queues differ after slot {rec.t}"
-        assert got.weighted_qsum == rec.weighted_qsum, f"weighted sum differs at slot {rec.t}"
+        assert got.t == t
+        assert np.array_equal(got.A, rec.A[t]), f"arrivals differ at slot {t}"
+        assert np.array_equal(got.S, rec.S[t]), f"schedule differs at slot {t}"
+        assert np.array_equal(got.U, rec.U[t]), f"unused service differs at slot {t}"
+        assert np.array_equal(state.Q, Q[t]), f"queues differ after slot {t}"
+        assert got.weighted_qsum == rec.weighted_qsum[t], f"weighted sum differs at slot {t}"
         assert cdot(state.Q, got.U, cost) == 0.0
     assert not exact or ties > 100  # the exact cases exercise the tie-break
     # Multi-packet arrivals reach the slot update only through the
     # non-Bernoulli cases; each must see them.
-    multi = sum(int(rec.A.max() > 1) for rec in stats.records)
+    multi = int((rec.A.max(axis=(1, 2)) > 1).sum())
     assert model.kind == "bernoulli" or multi > 100
 
 

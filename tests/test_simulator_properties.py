@@ -84,7 +84,8 @@ def test_recorded_slots_keep_the_update_invariants(cfg):
     stats = run(cfg)
     assert stats.conservation_ok
     assert stats.qu_dot_violation == 0.0
-    A, S, U = (np.array([getattr(rec, f) for rec in stats.records]) for f in "ASU")
+    rec = stats.records
+    A, S, U = rec.A, rec.S, rec.U
     assert ((S == 0) | (S == 1)).all()
     assert (S.sum(axis=1) == 1).all() and (S.sum(axis=2) == 1).all()
     assert ((U == 0) | (U == 1)).all() and (U <= S).all()
@@ -96,8 +97,8 @@ def test_recorded_slots_keep_the_update_invariants(cfg):
     # every record.
     arrival_rng, tiebreak_rng = derive_rngs(cfg.seed, cfg.stream_key)
     state = QueueState.empty(cfg.c.n)
-    for rec, q in zip(stats.records, Q):
+    for t in rec.t:
         state, got = step(state, cfg.model, cfg.c, arrival_rng, tiebreak_rng)
-        assert np.array_equal(got.A, rec.A) and np.array_equal(got.S, rec.S)
-        assert np.array_equal(got.U, rec.U) and np.array_equal(state.Q, q)
-        assert got.weighted_qsum == rec.weighted_qsum
+        assert np.array_equal(got.A, A[t]) and np.array_equal(got.S, S[t])
+        assert np.array_equal(got.U, U[t]) and np.array_equal(state.Q, Q[t])
+        assert got.weighted_qsum == rec.weighted_qsum[t]
