@@ -275,9 +275,9 @@ class ExperimentConfig:
     def slots_for(self, epsilon: float) -> int:
         return self.slots_by_epsilon.get(epsilon, self.slots)
 
-    def run_config(self, eps_index: int, record_slots: bool = False) -> simulator.RunConfig:
+    def run_config(self, eps_index: int) -> simulator.RunConfig:
         """Replication 0 at grid point ``eps_index`` (stream key (eps_index, 0))."""
-        return replace(self._run_configs[eps_index], record_slots=record_slots)
+        return replace(self._run_configs[eps_index])
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -385,8 +385,38 @@ def analytic_block(cfg: ExperimentConfig) -> dict:
     return block
 
 
-def _json_dump(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _output_dir(cfg: ExperimentConfig) -> Path:
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_report(cfg: ExperimentConfig, name: str, doc: dict, *before: Path) -> None:
+    """Write ``doc``, with the config, its hash and the version, as JSON ``name``
+    in the output directory, and print that it and the files ``before`` were written."""
+    out = _output_dir(cfg)
+    doc = {"config": cfg.to_dict(), "config_hash": cfg.config_hash(), "version": __version__, **doc}
+    (out / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    print("wrote " + " and ".join(map(str, [*before, out / name])))
+
+
+def _trace_writer(f, n: int):
+    """``simulate --trace``'s ``RunConfig.record``: each chunk's slots as CSV rows
+    of ``f``, Q(t+1) = Q(t) + A - S + U carried across chunks from empty queues."""
+    n2 = n * n
+    ij = np.divmod(np.arange(n2), n)
+    q = np.zeros(n2, dtype=np.int64)
+    f.write("t,i,j,Q,A,S,U\n")
+
+    def write(rec: simulator.SlotRecord):
+        nonlocal q
+        A, S, U = (x.reshape(-1, n2) for x in (rec.A, rec.S, rec.U))
+        Q = q + np.cumsum(A - S + U, axis=0)
+        q = Q[-1]
+        cols = (np.repeat(rec.t, n2), *(np.tile(x, len(Q)) for x in ij), Q, A, S, U)
+        f.writelines(map("{},{},{},{},{},{},{}\n".format, *(c.ravel().tolist() for c in cols)))
+
+    return write
 
 
 # -------- subcommands --------
@@ -394,19 +424,10 @@ def _json_dump(path: Path, doc: dict) -> None:
 
 def cmd_zeta(args) -> int:
     cfg = load_config(args.config)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     block = analytic_block(cfg)
-    doc = {
-        "config": cfg.to_dict(),
-        "config_hash": cfg.config_hash(),
-        "version": __version__,
-        **block,
-    }
-    _json_dump(out / "zeta.json", doc)
     if args.verbose:
         print(f"zeta cross-error {block['cross_error']:.3e}, ht_limit {block['ht_limit']:.6g}")
-    print(f"wrote {out / 'zeta.json'}")
+    _write_report(cfg, "zeta.json", block)
     if block["cross_error"] > CROSS_ERROR_LIMIT:
         print(
             f"error: zeta routes disagree by {block['cross_error']:.3e} > {CROSS_ERROR_LIMIT:g}",
@@ -422,23 +443,18 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config, seed=args.seed)
     by_eps = run_sweep(cfg, jobs=args.jobs)
     rows = sweep_rows(cfg, by_eps)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_sweep_csv(out / "sweep.csv", rows)
+    csv = _output_dir(cfg) / "sweep.csv"
+    write_sweep_csv(csv, rows)
     curve = analytics.ssc_curve(by_eps) if len(cfg.epsilon_grid) >= 3 else None
     doc = {
-        "config": cfg.to_dict(),
-        "config_hash": cfg.config_hash(),
         "seed": cfg.seed,
-        "version": __version__,
         "rows": rows,
         "analytics": analytic_block(cfg),
         "ssc": None
         if curve is None
         else {"par_slope": curve.par_slope, "perp_slope": curve.perp_slope},
     }
-    _json_dump(out / "sweep.json", doc)
-    print(f"wrote {out / 'sweep.csv'} and {out / 'sweep.json'}")
+    _write_report(cfg, "sweep.json", doc, csv)
     return 0
 
 
@@ -451,8 +467,6 @@ def cmd_lower_bound(args) -> int:
             "the enumeration is only feasible for n <= 3"
         )
     cost = cfg.cost_matrix()
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     per_eps = {}
     for eps in cfg.epsilon_grid:
         lb = analytics.universal_lower_bound(cost, cfg.model(eps))
@@ -471,28 +485,24 @@ def cmd_lower_bound(args) -> int:
         }
         schedules = lb.schedules
     doc = {
-        "config": cfg.to_dict(),
-        "config_hash": cfg.config_hash(),
-        "version": __version__,
         "schedules": [list(s) for s in schedules],
         "orderings_enumerated": math.factorial(math.factorial(cfg.n)),
         "by_epsilon": per_eps,
     }
-    _json_dump(out / "lb.json", doc)
-    print(f"wrote {out / 'lb.json'}")
+    _write_report(cfg, "lb.json", doc)
     return 0
 
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config, seed=args.seed)
     eps = cfg.epsilon_grid[0]
-    stats = simulator.run(cfg.run_config(0, record_slots=args.trace is not None))
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if args.trace is None:
+        stats = simulator.run(cfg.run_config(0))
+    else:
+        _output_dir(cfg)  # the trace may be written there
+        with open(args.trace, "w") as f:
+            stats = simulator.run(replace(cfg.run_config(0), record=_trace_writer(f, cfg.n)))
     doc = {
-        "config": cfg.to_dict(),
-        "config_hash": cfg.config_hash(),
-        "version": __version__,
         "epsilon": eps,
         "seed": cfg.seed,
         "matcher_mode": stats.matcher_mode,
@@ -510,24 +520,8 @@ def cmd_simulate(args) -> int:
         "conservation_ok": stats.conservation_ok,
         "qu_dot_violation": stats.qu_dot_violation,
     }
-    _json_dump(out / "run.json", doc)
-    print(f"wrote {out / 'run.json'}")
+    _write_report(cfg, "run.json", doc)
     if args.trace is not None:
-        # Q(t+1) = cumsum(A - S + U) from empty queues, a block of slots at a time.
-        rec, n2 = stats.records, cfg.n * cfg.n
-        ij = np.divmod(np.arange(n2), cfg.n)
-        block = max(1, simulator._CHUNK // n2)
-        q = np.zeros(n2, dtype=np.int64)
-        with open(args.trace, "w") as f:
-            f.write("t,i,j,Q,A,S,U\n")
-            for lo in range(0, len(rec.t), block):
-                A, S, U = (x[lo:lo + block].reshape(-1, n2) for x in (rec.A, rec.S, rec.U))
-                Q = q + np.cumsum(A - S + U, axis=0)
-                q = Q[-1]
-                cols = (np.repeat(rec.t[lo:lo + block], n2), *(np.tile(x, len(Q)) for x in ij),
-                        Q, A, S, U)
-                f.writelines(map("{},{},{},{},{},{},{}\n".format,
-                                 *(c.ravel().tolist() for c in cols)))
         print(f"wrote {args.trace}")
     return 0
 

@@ -15,7 +15,8 @@ schedule from Q(t) by the matcher kernels of ``scheduling``, the arrivals,
 the service, and a record of Q(t+1) and the served queues.  ``_reduce_chunk``
 then turns each chunk of records into unused service, per-slot checks of
 the update, batch-means statistics and cone-projection samples with array
-operations, the same code for both engines.  ``step`` is the single-slot
+operations, the same code for both engines, and passes the chunk's slot
+records to ``RunConfig.record`` if set.  ``step`` is the single-slot
 reference: it updates the queues with ``_serve``, which also lists the unused
 service, so replaying a ``run`` through ``step`` checks the recursion and
 the reduction slot for slot.
@@ -24,7 +25,7 @@ the reduction slot for slot.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,10 @@ _KAPPA_RTOL = 1e-9
 
 def default_warmup(epsilon: float) -> int:
     """Relaxation-time heuristic: the transient decays on a 1/epsilon^2 scale."""
-    return max(100_000, math.ceil(20.0 / epsilon**2))
+    relax = 20.0 / epsilon**2 if epsilon**2 else math.inf
+    if not math.isfinite(relax):
+        raise ValueError(f"epsilon {epsilon!r} is too small for the default warmup 20/epsilon^2")
+    return max(100_000, math.ceil(relax))
 
 
 def derive_rngs(seed: int, stream_key: tuple[int, ...] = ()) -> tuple[np.random.Generator, np.random.Generator]:
@@ -105,9 +109,9 @@ class QueueState:
 @dataclass
 class SlotRecord:
     """One slot from ``step``: ``t`` an int, ``A``, ``S``, ``U`` (n, n) int64,
-    ``weighted_qsum`` a float.  ``RunStats.records`` is one record of a whole
-    run, each field with a leading slot axis: ``t`` (T,), ``A``, ``S``, ``U``
-    (T, n, n) int64, ``weighted_qsum`` (T,) float64."""
+    ``weighted_qsum`` a float.  ``run`` hands ``RunConfig.record`` each chunk
+    of m slots in order as one record with a leading slot axis: ``t`` (m,),
+    ``A``, ``S``, ``U`` (m, n, n) int64, ``weighted_qsum`` (m,) float64."""
     t: int | np.ndarray
     A: np.ndarray
     S: np.ndarray
@@ -122,7 +126,7 @@ class RunConfig:
     measured: int = 1_000_000
     warmup: int | None = None
     ssc_stride: int = 100
-    record_slots: bool = False
+    record: Callable[[SlotRecord], None] | None = None
     seed: int = 0
     stream_key: tuple[int, ...] = ()
 
@@ -131,8 +135,12 @@ class RunConfig:
             raise ValueError("cost and arrival dimensions differ")
         if self.measured < BATCH_COUNT:
             raise ValueError(f"measured slots must be >= {BATCH_COUNT}, one per batch")
-        if self.warmup is not None and self.warmup < 0:
+        if self.warmup is None:
+            self.warmup = default_warmup(self.model.epsilon)
+        if self.warmup < 0:
             raise ValueError("warmup must be >= 0")
+        if self.warmup + self.measured >= 2**63:
+            raise ValueError("warmup + measured slots must be < 2**63, the range of a slot index")
         if self.ssc_stride < 1:
             raise ValueError("ssc_stride must be >= 1")
 
@@ -156,7 +164,6 @@ class RunStats:
     qu_dot_violation: float
     conservation_ok: bool
     departure_rate: np.ndarray
-    records: SlotRecord | None = None
 
 
 def _serve(q: list[int], a: list[int], idxs) -> list[int]:
@@ -287,11 +294,11 @@ class _BatchAcc:
 
 
 class _Reduction:
-    """Running statistics of one replication, and its slot records or None,
-    which ``_reduce_chunk`` feeds and fills one chunk at a time."""
+    """Running statistics of one replication, and the callback that takes
+    its slot records or None, which ``_reduce_chunk`` feeds one chunk at a time."""
 
     def __init__(self, cost: CostMatrix, warmup: int, batch: int, ssc_stride: int,
-                 records: SlotRecord | None):
+                 record: Callable[[SlotRecord], None] | None):
         n2 = cost.n * cost.n
         self.cost = cost
         self.warmup = warmup
@@ -308,7 +315,7 @@ class _Reduction:
         self.perp: list[float] = []
         self.par: list[float] = []
         self.drift: list[float] = []
-        self.records = records
+        self.record = record
 
 
 def _reduce_chunk(red: _Reduction, A: np.ndarray, Qn: np.ndarray, served: np.ndarray):
@@ -317,7 +324,8 @@ def _reduce_chunk(red: _Reduction, A: np.ndarray, Qn: np.ndarray, served: np.nda
     ``served``, (m, n).  Q(t) is the row of ``Qn`` before (``red.q`` for the
     first).  Unused service is read off the trajectory, U(t) = [(Q(t) +
     A(t))[served] == 0], and every slot is checked against Q(t+1) = Q(t) +
-    A(t) - S(t) + U(t) >= 0.  No view of the arguments is kept."""
+    A(t) - S(t) + U(t) >= 0.  The chunk's ``SlotRecord`` goes to ``red.record``;
+    ``red`` keeps no view of the arguments."""
     cost = red.cost
     n = cost.n
     n2 = n * n
@@ -340,7 +348,7 @@ def _reduce_chunk(red: _Reduction, A: np.ndarray, Qn: np.ndarray, served: np.nda
         red.qu_violation = max(red.qu_violation, float(np.abs(cost.flat[k] * q_unused).max()))
 
     off = min(m, max(0, red.warmup - t0))  # first measured row
-    lo = 0 if red.records is not None else off
+    lo = 0 if red.record is not None else off
     w = np.add.accumulate(cost.flat * Qn[lo:], axis=1)[:, -1]
     if off < m:
         red.w_acc.extend(w[off - lo:])
@@ -354,12 +362,11 @@ def _reduce_chunk(red: _Reduction, A: np.ndarray, Qn: np.ndarray, served: np.nda
         if idx.size:
             _project_pairs(Q[idx], Qn[idx], cost, red.perp, red.par, red.drift)
 
-    if red.records is not None:
-        rec, at = red.records, t0 + rows
-        rec.A[t0:t0 + m] = A.reshape(m, n, n)
-        rec.S.reshape(-1, n2)[at, served] = 1
-        rec.U.reshape(-1, n2)[at, served] = u
-        rec.weighted_qsum[t0:t0 + m] = w
+    if red.record is not None:
+        S, U = np.zeros((2, m, n2), dtype=np.int64)
+        S[rows, served], U[rows, served] = 1, u
+        grids = (x.reshape(m, n, n) for x in (A, S, U))
+        red.record(SlotRecord(np.arange(t0, t0 + m, dtype=np.int64), *grids, w))
     red.q = Qn[-1].copy()
     red.t = t0 + m
 
@@ -432,9 +439,9 @@ def run(cfg: RunConfig) -> RunStats:
     does only what the next slot depends on: schedule from Q(t), add the
     arrivals, serve, and record Q(t+1) and the served queues.
     ``_reduce_chunk`` computes unused service, the slot checks, the batch
-    means, the served and unused counts, the SSC samples and the slot records
-    (allocated once, written in place) with numpy, for both engines alike.
-    Chunk edges change no output bit.
+    means, the served and unused counts and the SSC samples with numpy, for
+    both engines alike, and builds each chunk's slot records for
+    ``cfg.record`` only when that is set.  Chunk edges change no output bit.
 
     SSC sampling projects the sampled Q(t) rows of a chunk as one
     ``project_cone`` stack and their Q(t+1) rows as another, so it keeps no
@@ -442,7 +449,6 @@ def run(cfg: RunConfig) -> RunStats:
     """
     cost, model = cfg.c, cfg.model
     n = cost.n
-    warmup = cfg.warmup if cfg.warmup is not None else default_warmup(model.epsilon)
     batch = cfg.measured // BATCH_COUNT
     measured = batch * BATCH_COUNT
     arrival_rng, tiebreak_rng = derive_rngs(cfg.seed, cfg.stream_key)
@@ -450,12 +456,8 @@ def run(cfg: RunConfig) -> RunStats:
     engine = _exact_engine if mode == "exact-enumeration" else _hungarian_engine
     advance = engine(cost, tiebreak_rng)
     rows = max(1, _CHUNK // (n * n))
-    total = warmup + measured
-    records = None
-    if cfg.record_slots:
-        grids = (np.zeros((total, n, n), dtype=np.int64) for _ in "ASU")
-        records = SlotRecord(np.arange(total, dtype=np.int64), *grids, np.zeros(total))
-    red = _Reduction(cost, warmup, batch, cfg.ssc_stride, records)
+    total = cfg.warmup + measured
+    red = _Reduction(cost, cfg.warmup, batch, cfg.ssc_stride, cfg.record)
 
     for t0 in range(0, total, rows):
         _reduce_chunk(red, *advance(model.sample_block(arrival_rng, min(rows, total - t0))))
@@ -468,7 +470,7 @@ def run(cfg: RunConfig) -> RunStats:
         seed=cfg.seed,
         stream_key=cfg.stream_key,
         matcher_mode=mode,
-        warmup_slots=warmup,
+        warmup_slots=cfg.warmup,
         measured_slots=measured,
         mean_weighted_qsum=red.w_acc.mean(),
         stderr_weighted_qsum=red.w_acc.stderr(),
@@ -480,7 +482,6 @@ def run(cfg: RunConfig) -> RunStats:
         qu_dot_violation=red.qu_violation,
         conservation_ok=red.conservation_ok,
         departure_rate=(departures / measured).reshape(n, n),
-        records=red.records,
     )
 
 

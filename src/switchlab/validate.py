@@ -187,42 +187,46 @@ def _check_face_invariance(rng) -> tuple[bool, str]:
 def _check_simulator(rng, matcher_fn) -> tuple[bool, str]:
     cost = wlinalg.CostMatrix(np.ones((2, 2)))
     model = traffic.ArrivalModel.bernoulli(traffic.uniform_nu(2), 0.5)
+    # Each chunk of the run is replayed through step as it is recorded, with the
+    # injected matcher on fresh copies of the run's streams, slot for slot.
+    arrival_rng, tiebreak_rng = simulator.derive_rngs(11)
+    state = simulator.QueueState.empty(cost.n)
+    departed, overlap, bounds_ok = [], [], True
+
+    def replay(rec: simulator.SlotRecord):
+        nonlocal state, bounds_ok
+        S, U, Q_next = (np.empty_like(rec.A) for _ in range(3))
+        for k, A in enumerate(rec.A):
+            s = matcher_fn(state.Q, cost, tiebreak_rng)
+            state, got = simulator.step(state, model, cost, arrival_rng, tiebreak_rng,
+                                        schedule=s, arrivals=A)
+            S[k], U[k], Q_next[k] = got.S, got.U, state.Q
+        departed.extend(rec.t[((S != rec.S) | (U != rec.U)).any(axis=(1, 2))])
+        bounds_ok &= not ((U < 0) | (U > 1) | (U > S)).any()
+        overlap.extend(rec.t[(cost.c * Q_next * U).sum(axis=(1, 2)) != 0])
+
     cfg = simulator.RunConfig(
         c=cost, model=model, measured=20_000, warmup=2_000, seed=11,
-        ssc_stride=20, record_slots=True,
+        ssc_stride=20, record=replay,
     )
     stats = simulator.run(cfg)
     if stats.qu_dot_violation != 0.0:
         return False, "post-update weighted overlap with unused service is nonzero"
     if not stats.conservation_ok:
         return False, "flow conservation violated"
-    stats2 = simulator.run(replace(cfg, record_slots=False))
+    stats2 = simulator.run(replace(cfg, record=None))
     if stats2.mean_weighted_qsum != stats.mean_weighted_qsum:
         return False, "same seed produced different statistics"
     if abs(stats.unused_service_rate - 1.0) > 4 * stats.stderr_unused_service:
         return False, f"unused-service rate {stats.unused_service_rate:.4f} far from n*eps=1"
-    # replay the recorded run through step, scheduling with the injected matcher
-    # on fresh copies of the run's streams; the replay must match slot for slot
-    arrival_rng, tiebreak_rng = simulator.derive_rngs(cfg.seed, cfg.stream_key)
-    state = simulator.QueueState.empty(cost.n)
-    rec = stats.records
-    S, U, Q_next = (np.empty_like(rec.A) for _ in range(3))
-    for k, A in enumerate(rec.A):
-        s = matcher_fn(state.Q, cost, tiebreak_rng)
-        state, got = simulator.step(
-            state, model, cost, arrival_rng, tiebreak_rng, schedule=s, arrivals=A
-        )
-        S[k], U[k], Q_next[k] = got.S, got.U, state.Q
-    departed = np.flatnonzero(((S != rec.S) | (U != rec.U)).any(axis=(1, 2)))
-    if departed.size:
+    if departed:
         return False, f"step replay departs from the run at slot {departed[0]}"
-    if ((U < 0) | (U > 1) | (U > S)).any():
+    if not bounds_ok:
         return False, "unused-service bounds violated"
-    overlap = np.flatnonzero((cost.c * Q_next * U).sum(axis=(1, 2)))
-    if overlap.size:
+    if overlap:
         return False, f"<Q(t+1), U(t)> nonzero at slot {overlap[0]}"
     return True, (
-        f"{len(S)}-slot run replayed exactly through step; "
+        f"{state.t}-slot run replayed exactly through step; "
         "<Q(t+1), U(t)> = 0, conservation, n*eps"
     )
 

@@ -7,10 +7,23 @@ coordinate descent for cone projections.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from switchlab import simulator
 from switchlab.wlinalg import CostMatrix, col_generator, row_generator
+
+
+def recorded_run(cfg: simulator.RunConfig) -> tuple[simulator.RunStats, simulator.SlotRecord]:
+    """``run(cfg)`` and its slot records: the chunks ``run`` hands
+    ``RunConfig.record``, concatenated along the slot axis."""
+    chunks = []
+    stats = simulator.run(dataclasses.replace(cfg, record=chunks.append))
+    fields = dataclasses.fields(simulator.SlotRecord)
+    return stats, simulator.SlotRecord(
+        *(np.concatenate([getattr(c, f.name) for c in chunks]) for f in fields))
 
 
 def gs_orthonormal_basis(cost: CostMatrix) -> list[np.ndarray]:

@@ -169,6 +169,13 @@ def test_integral_floats_are_integers(tmp_path):
         {"cost": {"preset": "random", "lo": -1e308, "hi": 1e308}},
         {"cost": {"matrix": [["2", 1], [1, True]]}},
         {"arrival": {"nu": [["0.5", 0.5], [0.5, "0.5"]]}},
+        # The default warmup 20/eps^2 divides by zero, then overflows; 2**63
+        # slots have no int64 slot index.
+        {"epsilon_grid": [1e-300], "warmup": None},
+        {"epsilon_grid": [1e-160], "warmup": None},
+        {"slots": 1e300},
+        {"slots_by_epsilon": {"0.1": 1e300}},
+        {"warmup": 2**63},
     ],
     ids=["matcher-mode", "arrival-kind", "nu-zero-entry", "batch-count", "sigma2-shape",
          "arrival-not-object", "slots-by-epsilon-not-object", "unknown-key",
@@ -178,7 +185,9 @@ def test_integral_floats_are_integers(tmp_path):
          "n-fraction", "slots-bool", "epsilon-repeated", "epsilon-string", "epsilon-bool",
          "slots-by-epsilon-two-spellings", "seed-negative", "n-zero", "cost-checker-string-bool",
          "cost-random-lo-string", "cost-random-hi-bool", "cost-random-lo-infinite",
-         "cost-random-range-overflows", "cost-matrix-string-bool", "nu-strings"],
+         "cost-random-range-overflows", "cost-matrix-string-bool", "nu-strings",
+         "default-warmup-divides-by-zero", "default-warmup-overflows", "slots-huge",
+         "slots-by-epsilon-huge", "warmup-huge"],
 )
 def test_cmd_sweep_bad_config_exits_before_workers(tmp_path, capsys, change):
     path = write_cfg(tmp_path, base_doc(tmp_path, **change))
@@ -267,6 +276,9 @@ _SMALL = {"n": 2, "epsilon_grid": [0.2], "slots": 60, "warmup": 10}
 @settings(max_examples=300, deadline=None)
 @example(dict(_SMALL, seed=-1))
 @example(dict(_SMALL, n=0))
+@example({"n": 2, "epsilon_grid": [1e-300], "slots": 60})
+@example({"n": 2, "epsilon_grid": [1e-160], "slots": 60})
+@example(dict(_SMALL, slots=1e300))
 @given(_config_docs())
 def test_config_documents_are_refused_or_run(doc):
     # Every document either fails to parse with a ConfigError or runs.

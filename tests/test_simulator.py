@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from switchlab import simulator
+from switchlab import cli, simulator
 from switchlab.scheduling import Schedule, enumerate_argmax, matcher_mode
 from switchlab.simulator import (
     QueueState,
@@ -20,6 +21,7 @@ from switchlab.simulator import (
 )
 from switchlab.traffic import ArrivalModel, uniform_nu
 from switchlab.wlinalg import CostMatrix, cdot, project_cone
+from conftest import recorded_run
 
 
 def ones_cost(n=2):
@@ -103,10 +105,9 @@ def test_step_random_slots_keep_invariants(rng):
 # -------- full runs --------
 
 def test_run_slot_records_and_conservation():
-    stats = run(small_cfg(measured=5_000, warmup=500, record_slots=True, ssc_stride=10))
+    stats, rec = recorded_run(small_cfg(measured=5_000, warmup=500, ssc_stride=10))
     assert stats.conservation_ok
     assert stats.qu_dot_violation == 0.0
-    rec = stats.records
     Q = np.cumsum(rec.A - rec.S + rec.U, axis=0)  # Q(t+1), from empty queues
     assert (Q >= 0).all()
     assert (rec.U <= rec.S).all()
@@ -187,9 +188,8 @@ def test_run_ssc_samples_match_single_grid_projections(monkeypatch, n, stride):
     # Q(t) and Q(t+1) on its own.
     monkeypatch.setattr(simulator, "_CHUNK", 96 * n * n)
     c = CostMatrix(np.random.default_rng(n).uniform(0.5, 2.0, (n, n))) if n > 2 else ones_cost()
-    stats = run(small_cfg(c=c, model=bernoulli(0.1, n), measured=1_500, warmup=300,
-                          ssc_stride=stride, record_slots=True))
-    rec = stats.records
+    stats, rec = recorded_run(small_cfg(c=c, model=bernoulli(0.1, n), measured=1_500,
+                                        warmup=300, ssc_stride=stride))
     Q_next = np.cumsum(rec.A - rec.S + rec.U, axis=0)
     Q = np.concatenate((np.zeros((1, n, n), dtype=np.int64), Q_next[:-1]))
     perp, par, drift = [], [], []
@@ -208,11 +208,7 @@ def test_run_ssc_samples_match_single_grid_projections(monkeypatch, n, stride):
 def _assert_same_stats(got, want):
     for f in dataclasses.fields(want):
         a, b = getattr(got, f.name), getattr(want, f.name)
-        if f.name == "records":
-            for g in dataclasses.fields(b):
-                x, y = getattr(a, g.name), getattr(b, g.name)
-                assert x.dtype == y.dtype and np.array_equal(x, y), g.name
-        elif isinstance(b, np.ndarray):
+        if isinstance(b, np.ndarray):
             assert a.dtype == b.dtype and np.array_equal(a, b), f.name
         elif isinstance(b, float) and np.isnan(b):
             assert np.isnan(a), f.name
@@ -238,12 +234,13 @@ def test_run_chunk_edges_change_no_output(monkeypatch, cost, model, rows):
     # the arrival stream; no output may move.
     monkeypatch.setattr(simulator, "_CHUNK", 96 * cost.n**2)
     cfg = RunConfig(c=cost, model=model, measured=1_500, warmup=250, ssc_stride=13,
-                    record_slots=True, seed=7, stream_key=(1,))
-    want = run(cfg)
+                    seed=7, stream_key=(1,))
+    want, want_rec = recorded_run(cfg)
     monkeypatch.setattr(simulator, "_CHUNK", rows * cost.n**2)
-    got = run(cfg)
-    assert model.kind == "bernoulli" or want.records.A.max() > 1
+    got, got_rec = recorded_run(cfg)
+    assert model.kind == "bernoulli" or want_rec.A.max() > 1
     _assert_same_stats(got, want)
+    _assert_same_stats(got_rec, want_rec)
 
 
 def _hand_chunk():
@@ -255,7 +252,7 @@ def _hand_chunk():
 
 
 def _reduction(q0=(0, 0, 0, 0)):
-    red = simulator._Reduction(ones_cost(), warmup=0, batch=2, ssc_stride=3, records=None)
+    red = simulator._Reduction(ones_cost(), warmup=0, batch=2, ssc_stride=3, record=None)
     red.q = np.array(q0, dtype=np.int64)
     return red
 
@@ -309,21 +306,33 @@ def test_run_memory_does_not_grow_with_slots(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_recorded_memory_is_the_record_arrays(monkeypatch, n):
-    # A recorded run fills one preallocated record in place, so its peak may
-    # grow with the slots only by about the bytes of the record itself.
+@pytest.mark.parametrize("via", ["run", "simulate-trace"])
+def test_recorded_memory_does_not_grow_with_slots(monkeypatch, tmp_path, n, via):
+    # Slot records leave run one chunk at a time and run keeps none of them:
+    # a recorded run, and simulate --trace writing each chunk as it comes,
+    # peak the same at ten times the slots.  Sparse SSC samples keep their
+    # lists small beside the chunks.
     monkeypatch.setattr(simulator, "_CHUNK", 1024)
-    cfg = small_cfg(c=ones_cost(n), model=bernoulli(0.2, n), warmup=500, record_slots=True)
-    peaks, sizes = [], []
-    for measured in (5_000, 20_000):
+    peaks = []
+    for measured in (5_000, 50_000):
+        if via == "run":
+            cfg = small_cfg(c=ones_cost(n), model=bernoulli(0.2, n), warmup=500,
+                            measured=measured, ssc_stride=1000, record=lambda rec: None)
+            go = lambda: run(cfg)
+        else:
+            doc = {"n": n, "epsilon_grid": [0.2], "slots": measured, "warmup": 500, "seed": 3,
+                   "ssc_sampling_stride": 1000, "output_dir": str(tmp_path / "out")}
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(doc))
+            trace = str(tmp_path / "trace.csv")
+            go = lambda: cli.main(["simulate", "--config", str(path), "--trace", trace])
         tracemalloc.start()
         try:
-            rec = run(dataclasses.replace(cfg, measured=measured)).records
+            go()
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        sizes.append(sum(getattr(rec, f.name).nbytes for f in dataclasses.fields(rec)))
-    assert peaks[1] - peaks[0] <= 1.5 * (sizes[1] - sizes[0])
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_step_validates_only_states_built_by_callers():
@@ -376,10 +385,9 @@ def test_step_replay_matches_run_bit_for_bit(cost, model, arrivals):
     exact = matcher_mode(n) == "exact-enumeration"
     cfg = RunConfig(
         c=cost, model=model,
-        measured=3_000, warmup=300, seed=31, stream_key=(2, 1), record_slots=True,
+        measured=3_000, warmup=300, seed=31, stream_key=(2, 1),
     )
-    stats = run(cfg)
-    rec = stats.records
+    stats, rec = recorded_run(cfg)
     Q = np.cumsum(rec.A - rec.S + rec.U, axis=0)  # Q(t+1), from empty queues
     a_rng, t_rng = derive_rngs(cfg.seed, cfg.stream_key)
     state = QueueState.empty(n)
@@ -481,11 +489,22 @@ def test_run_config_validation():
         small_cfg(warmup=-1)
     with pytest.raises(ValueError):
         RunConfig(c=ones_cost(3), model=bernoulli(0.3, 2), measured=1000)
+    # The slot index t of the records is int64.
+    assert small_cfg(measured=2**63 - 1, warmup=0).measured == 2**63 - 1
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        small_cfg(measured=2**63 - 1, warmup=1)
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        small_cfg(model=bernoulli(1e-10), warmup=None)
 
 
 def test_default_warmup_heuristic():
     assert default_warmup(0.5) == 100_000
     assert default_warmup(0.01) == 200_000
+    assert small_cfg(model=bernoulli(0.01), warmup=None).warmup == 200_000
+    # 20/eps^2 divides by zero at 1e-300 and overflows to inf at 1e-160.
+    for eps in (1e-300, 1e-160):
+        with pytest.raises(ValueError, match="too small for the default warmup"):
+            default_warmup(eps)
 
 
 # -------- drift diagnostics --------

@@ -11,9 +11,10 @@ from hypothesis.extra.numpy import arrays
 
 from switchlab import simulator
 from switchlab.scheduling import EXACT_MAX_N
-from switchlab.simulator import QueueState, RunConfig, derive_rngs, run, step
+from switchlab.simulator import QueueState, RunConfig, derive_rngs, step
 from switchlab.traffic import ArrivalModel, uniform_nu
 from switchlab.wlinalg import CostMatrix
+from conftest import recorded_run
 
 
 @st.composite
@@ -74,17 +75,16 @@ def short_runs(draw):
     model = ArrivalModel(kind=kind, nu=uniform_nu(n), epsilon=draw(st.floats(0.05, 0.5)),
                          a_max=a_max)
     return RunConfig(c=CostMatrix(c), model=model, measured=120, warmup=draw(st.integers(0, 60)),
-                     ssc_stride=50, record_slots=True, seed=draw(st.integers(0, 2**32 - 1)))
+                     ssc_stride=50, seed=draw(st.integers(0, 2**32 - 1)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(short_runs())
 def test_recorded_slots_keep_the_update_invariants(cfg):
     assert EXACT_MAX_N < 8  # n = 8 runs the Hungarian engine
-    stats = run(cfg)
+    stats, rec = recorded_run(cfg)
     assert stats.conservation_ok
     assert stats.qu_dot_violation == 0.0
-    rec = stats.records
     A, S, U = rec.A, rec.S, rec.U
     assert ((S == 0) | (S == 1)).all()
     assert (S.sum(axis=1) == 1).all() and (S.sum(axis=2) == 1).all()

@@ -3,7 +3,8 @@ function at the module attribute its callers look it up by.  A refactor that
 drops one of those names (an import such as ``simulator.max_weight_schedule``)
 would otherwise fail only a traced benchmark run.  So would a renamed
 ``validate`` check, whose slugged name is a per-layer metric of the
-benchmark."""
+benchmark, and a change to how the validate suite calls ``simulator.run``,
+which the benchmark wraps to count slots."""
 
 from __future__ import annotations
 
@@ -48,3 +49,23 @@ def test_validate_check_names_are_the_benchmark_metrics():
                for name, _, _ in validate._CHECKS}
     assert len(slugged) == len(validate._CHECKS)
     assert slugged == listed
+
+
+def test_validate_suite_runs_through_a_one_argument_run(monkeypatch):
+    # perfbench/worker.py::analytics_rep swaps simulator.run for a wrapper
+    # that takes one argument and counts the slots run; analytics-validate's
+    # slots_per_s is that count over wall time.  A second argument would
+    # crash a check, and another slot count would move the metric.
+    from switchlab import simulator, validate
+
+    original_run, run_slots = simulator.run, []
+
+    def counted_run(cfg):
+        st = original_run(cfg)
+        run_slots.append(st.warmup_slots + st.measured_slots)
+        return st
+
+    monkeypatch.setattr(simulator, "run", counted_run)
+    results = validate.run_suite(seed=0, out=lambda line: None)
+    assert [r.name for r in results if not r.ok] == []
+    assert run_slots == [21_980, 21_980] and sum(run_slots) == 43_960
