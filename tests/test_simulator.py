@@ -335,6 +335,28 @@ def test_recorded_memory_does_not_grow_with_slots(monkeypatch, tmp_path, n, via)
     assert peaks[1] <= 1.5 * peaks[0]
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_recorded_memory_is_the_record_arrays(monkeypatch, n):
+    # A caller that keeps every chunk it is handed holds the whole run's
+    # records; run's own peak may grow with the slots only by about the bytes
+    # of those records, so it copies none of them and keeps none of its own.
+    monkeypatch.setattr(simulator, "_CHUNK", 1024)
+    cfg = small_cfg(c=ones_cost(n), model=bernoulli(0.2, n), warmup=500)
+    peaks, sizes = [], []
+    for measured in (5_000, 20_000):
+        chunks = []
+        tracemalloc.start()
+        try:
+            stats = run(dataclasses.replace(cfg, measured=measured, record=chunks.append))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert sum(len(c.t) for c in chunks) == stats.warmup_slots + stats.measured_slots
+        sizes.append(sum(getattr(c, f.name).nbytes
+                         for c in chunks for f in dataclasses.fields(c)))
+    assert peaks[1] - peaks[0] <= 1.5 * (sizes[1] - sizes[0])
+
+
 def test_step_validates_only_states_built_by_callers():
     with pytest.raises(ValueError, match="nonnegative"):
         QueueState(Q=np.array([[0, -1], [0, 0]]))
