@@ -45,6 +45,7 @@ __all__ = [
     "cross_validated_zeta",
     "ht_limit",
     "n2_closed_form",
+    "LOWER_BOUND_MAX_N",
     "universal_lower_bound",
     "ssc_curve",
 ]
@@ -251,23 +252,29 @@ def _ordering_values(
     return out, clamped
 
 
+# Largest n whose priority orderings universal_lower_bound enumerates: (3!)! =
+# 720 orderings, against (4!)! (about 6.2e23) at n = 4.
+LOWER_BOUND_MAX_N = 3
+
+
 def universal_lower_bound(cost: CostMatrix, model: ArrivalModel) -> LowerBoundResult:
     """Policy-independent lower bound on the average weighted queue length.
 
     Enumerates every priority ordering of the n! schedules (hence (n!)!
-    orderings; n <= 3 only), prices each ordering by the weighted sum of
-    per-queue class values, and minimizes over orderings -- the weighted
-    queue sum of any policy lies above the cheapest vertex of the priority
-    performance polytope.  Both the finite-load value and its epsilon -> 0
-    limit are reported; class values clamped to 0 are counted in
-    ``clamped_classes``.
+    orderings; n <= LOWER_BOUND_MAX_N only), prices each ordering by the
+    weighted sum of per-queue class values, and minimizes over orderings --
+    the weighted queue sum of any policy lies above the cheapest vertex of
+    the priority performance polytope.  Both the finite-load value and its
+    epsilon -> 0 limit are reported; class values clamped to 0 are counted
+    in ``clamped_classes``.
     """
     n = cost.n
     if n != model.n:
         raise ValueError("cost and arrival dimensions differ")
-    if n > 3:
+    if n > LOWER_BOUND_MAX_N:
         raise ValueError(
-            f"n={n} needs ({math.factorial(n)})! priority orderings; n <= 3 is supported"
+            f"n={n} needs ({math.factorial(n)})! priority orderings; "
+            f"n <= {LOWER_BOUND_MAX_N} is supported"
         )
     scheds = list(perm_table(n).perms)
     schedule_queues = [[(i, p[i]) for i in range(n)] for p in scheds]

@@ -376,7 +376,7 @@ def analytic_block(cfg: ExperimentConfig) -> dict:
         alt = analytics.n2_closed_form(cost, sigma2)
         block["n2_closed_form"] = alt
         block["ht_limit_over_n2_closed_form"] = (limit / alt) if alt else None
-    if cfg.n <= 3:
+    if cfg.n <= analytics.LOWER_BOUND_MAX_N:
         lbs = {}
         for eps in cfg.epsilon_grid:
             lb = analytics.universal_lower_bound(cost, cfg.model(eps))
@@ -460,11 +460,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_lower_bound(args) -> int:
     cfg = load_config(args.config)
-    if cfg.n > 3:
+    if cfg.n > analytics.LOWER_BOUND_MAX_N:
         n_fact = math.factorial(cfg.n)
         raise InfeasibleError(
             f"n={cfg.n} requires ({n_fact})! = factorial({n_fact}) priority orderings; "
-            "the enumeration is only feasible for n <= 3"
+            f"the enumeration is only feasible for n <= {analytics.LOWER_BOUND_MAX_N}"
         )
     cost = cfg.cost_matrix()
     per_eps = {}
@@ -554,7 +554,8 @@ def main(argv=None) -> int:
          {"--config": config, "--seed": seed,
           "--jobs": {"type": int, "default": os.cpu_count() or 1,
                      "help": "worker processes (default: cores)"}}),
-        ("lower-bound", cmd_lower_bound, "priority-ordering lower bound (n <= 3)",
+        ("lower-bound", cmd_lower_bound,
+         f"priority-ordering lower bound (n <= {analytics.LOWER_BOUND_MAX_N})",
          {"--config": config}),
         ("simulate", cmd_simulate, "single replication with optional trace dump",
          {"--config": config, "--seed": seed,

@@ -76,11 +76,13 @@ _GATHER_MIN_N = 5
 
 
 class PermTable(NamedTuple):
-    """All n! permutations in lexicographic order (``perms``); for each one the
-    flat queue indices i * n + perm[i] it serves, in row order (``pidx``); and
-    the same indices by row, ``cols[i, p] = pidx[p][i]`` (read-only)."""
+    """All n! permutations in lexicographic order (``perms``) and each as a
+    ``Schedule`` (``schedules``, checked once here); for each one the flat
+    queue indices i * n + perm[i] it serves, in row order (``pidx``); and the
+    same indices by row, ``cols[i, p] = pidx[p][i]`` (read-only)."""
 
     perms: tuple[tuple[int, ...], ...]
+    schedules: tuple[Schedule, ...]
     pidx: tuple[tuple[int, ...], ...]
     cols: np.ndarray
 
@@ -92,7 +94,7 @@ def perm_table(n: int) -> PermTable:
     pidx = tuple(tuple(i * n + p[i] for i in range(n)) for p in perms)
     cols = np.array(pidx, dtype=np.intp).T.copy()
     cols.flags.writeable = False
-    return PermTable(perms, pidx, cols)
+    return PermTable(perms, tuple(map(Schedule, perms)), pidx, cols)
 
 
 def _loop_kernel(c_flat: Sequence[float], pidx) -> Callable[[Sequence], list[int]]:
@@ -154,7 +156,7 @@ def break_tie(ties: Sequence, uniform):
 
 def all_schedules(n: int) -> list[Schedule]:
     """All n! maximal schedules, in lexicographic order."""
-    return [Schedule(p) for p in perm_table(n).perms]
+    return list(perm_table(n).schedules)
 
 
 def _check_dims(Q: np.ndarray, cost: CostMatrix) -> np.ndarray:
@@ -186,8 +188,8 @@ def enumerate_argmax(Q, cost: CostMatrix) -> list[Schedule]:
     Q = _check_dims(Q, cost)
     if matcher_mode(cost.n) != "exact-enumeration":
         raise ValueError(f"n={cost.n} above the enumeration limit EXACT_MAX_N={EXACT_MAX_N}")
-    perms = perm_table(cost.n).perms
-    return [Schedule(perms[p]) for p in argmax_kernel(cost)(Q.ravel().tolist())]
+    schedules = perm_table(cost.n).schedules
+    return [schedules[p] for p in argmax_kernel(cost)(Q.ravel().tolist())]
 
 
 def _hungarian_perm(W: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -222,5 +224,5 @@ def max_weight_schedule(Q, cost: CostMatrix, rng: np.random.Generator) -> Schedu
     drawing one ``rng.random()`` per tie (``break_tie``)."""
     if matcher_mode(cost.n) == "exact-enumeration":
         ties = argmax_kernel(cost)(_check_dims(Q, cost).ravel().tolist())
-        return Schedule(perm_table(cost.n).perms[break_tie(ties, rng.random)])
+        return perm_table(cost.n).schedules[break_tie(ties, rng.random)]
     return hungarian_schedule(Q, cost, rng)

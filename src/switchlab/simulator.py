@@ -16,10 +16,10 @@ the service, and a record of Q(t+1) and the served queues.  ``_reduce_chunk``
 then turns each chunk of records into unused service, per-slot checks of
 the update, batch-means statistics and cone-projection samples with array
 operations, the same code for both engines, and passes the chunk's slot
-records to ``RunConfig.record`` if set.  ``step`` is the single-slot
-reference: it updates the queues with ``_serve``, which also lists the unused
-service, so replaying a ``run`` through ``step`` checks the recursion and
-the reduction slot for slot.
+records to ``RunConfig.record`` if set; the samples of a run fill arrays
+allocated once.  ``step`` is the single-slot reference: it updates the
+queues with ``_serve``, which also lists the unused service, so replaying a
+``run`` through ``step`` checks the recursion and the reduction slot for slot.
 """
 
 from __future__ import annotations
@@ -202,24 +202,23 @@ def _indicator(idxs, n: int) -> np.ndarray:
     return m.reshape(n, n)
 
 
-def _wnorm(v: np.ndarray, c: np.ndarray) -> float:
-    """Weighted norm sqrt(sum_ij c_ij v_ij^2) of an (n, n) grid."""
-    return math.sqrt(float(np.vdot(v, c * v)))
+def _wnorms(V: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Weighted norms sqrt(sum_ij c_ij v_ij^2) of a (k, n, n) stack.  Numpy hands each
+    (1, n^2) @ (n^2, 1) product to np.vdot's BLAS ddot, so the bits are vdot's."""
+    k = len(V)
+    return np.sqrt(V.reshape(k, 1, -1) @ (c * V).reshape(k, -1, 1))[:, 0, 0]
 
 
-def _project_pairs(Q: np.ndarray, Qn: np.ndarray, cost: CostMatrix, perp: list, par: list,
-                   drift: list):
+def _project_pairs(Q: np.ndarray, Qn: np.ndarray, cost: CostMatrix, out: np.ndarray):
     """Project the sampled rows of one chunk, Q(t) in ``Q`` and Q(t+1) in
-    ``Qn``, both (k, n^2), as one ``project_cone`` stack each, and append each
-    sample's perp norm, par norm and perp drift, in slot order."""
+    ``Qn``, both (k, n^2), as one ``project_cone`` stack each, and write the
+    samples' perp norms, par norms and perp drifts, in slot order, into the
+    rows of ``out``, (3, k)."""
     n = cost.n
     before = project_cone(Q.reshape(-1, n, n), cost)
     after = project_cone(Qn.reshape(-1, n, n), cost)
-    for perp_before, par_before, perp_after in zip(before.perp, before.parallel, after.perp):
-        w_before = _wnorm(perp_before, cost.c)
-        perp.append(w_before)
-        par.append(_wnorm(par_before, cost.c))
-        drift.append(_wnorm(perp_after, cost.c) - w_before)
+    perp = _wnorms(before.perp, cost.c)
+    out[:] = perp, _wnorms(before.parallel, cost.c), _wnorms(after.perp, cost.c) - perp
 
 
 def _uniforms(rng: np.random.Generator):
@@ -294,8 +293,9 @@ class _BatchAcc:
 
 
 class _Reduction:
-    """Running statistics of one replication, and the callback that takes
-    its slot records or None, which ``_reduce_chunk`` feeds one chunk at a time."""
+    """Running statistics of one replication, its perp, par and drift samples
+    (the rows of ``ssc``, written in place) and the callback that takes its
+    slot records or None, which ``_reduce_chunk`` feeds one chunk at a time."""
 
     def __init__(self, cost: CostMatrix, warmup: int, batch: int, ssc_stride: int,
                  record: Callable[[SlotRecord], None] | None):
@@ -312,9 +312,7 @@ class _Reduction:
         self.unused = np.zeros(n2, dtype=np.int64)
         self.qu_violation = 0.0
         self.conservation_ok = True
-        self.perp: list[float] = []
-        self.par: list[float] = []
-        self.drift: list[float] = []
+        self.ssc = np.empty((3, -(-batch * BATCH_COUNT // ssc_stride)))
         self.record = record
 
 
@@ -357,10 +355,10 @@ def _reduce_chunk(red: _Reduction, A: np.ndarray, Qn: np.ndarray, served: np.nda
         red.unused += np.bincount(served[off:][u[off:]], minlength=n2)
         # SSC samples are taken at every ssc_stride-th measured slot.
         stride = red.ssc_stride
-        first = red.warmup + -(-(t0 + off - red.warmup) // stride) * stride - t0
-        idx = np.arange(first, m, stride)
+        j = -(-(t0 + off - red.warmup) // stride)  # samples of the chunks before
+        idx = np.arange(red.warmup + j * stride - t0, m, stride)
         if idx.size:
-            _project_pairs(Q[idx], Qn[idx], cost, red.perp, red.par, red.drift)
+            _project_pairs(Q[idx], Qn[idx], cost, red.ssc[:, j:j + idx.size])
 
     if red.record is not None:
         S, U = np.zeros((2, m, n2), dtype=np.int64)
@@ -476,9 +474,9 @@ def run(cfg: RunConfig) -> RunStats:
         stderr_weighted_qsum=red.w_acc.stderr(),
         unused_service_rate=red.u_acc.mean(),
         stderr_unused_service=red.u_acc.stderr(),
-        perp_samples=np.asarray(red.perp),
-        par_samples=np.asarray(red.par),
-        drift_samples=np.asarray(red.drift),
+        perp_samples=red.ssc[0],
+        par_samples=red.ssc[1],
+        drift_samples=red.ssc[2],
         qu_dot_violation=red.qu_violation,
         conservation_ok=red.conservation_ok,
         departure_rate=(departures / measured).reshape(n, n),

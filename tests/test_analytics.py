@@ -168,7 +168,7 @@ def test_lower_bound_ordering_counts():
 
 def test_lower_bound_rejects_large_n():
     model = ArrivalModel.bernoulli(uniform_nu(4), 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n=4 needs \(24\)! priority orderings; n <= 3 is supported$"):
         universal_lower_bound(ones_cost(4), model)
 
 

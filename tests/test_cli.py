@@ -422,6 +422,36 @@ def test_cmd_sweep_seed_override_changes_results(tmp_path):
     assert a != b
 
 
+def _report_sha256(path: Path, keys) -> str:
+    """sha256 of the sorted-key JSON of the entries ``keys`` of the report at ``path``."""
+    doc = json.loads(path.read_text())
+    return hashlib.sha256(json.dumps({k: doc[k] for k in keys}, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "doc, csv_sha256, json_sha256",
+    [
+        (dict(n=2, slots=2_000, warmup=300),
+         "e6ee83207685d96b9710c0702f22690254c2ad7585ce4719a1099d93e944e4ec",
+         "399d545c7feed7d562cb70bedfd6de73073e880997bd9f5758f7d53ff361bb69"),
+        (dict(n=4, cost={"preset": "checker", "a": 1, "b": 2}, slots=1_200, warmup=200),
+         "69d36855cd68da25e7812c49918c4f4c5ed629c7802471a45be7b0a61b08255d",
+         "130ccd7dd604857ed53e1b9f8b7a7b69eaed3ca8b8615806c3bedd581800b9a5"),
+    ],
+    ids=["n2-faces", "n4-checker-nnls"],
+)
+def test_cmd_sweep_outputs_pinned(tmp_path, doc, csv_sha256, json_sha256):
+    # Bytes of sweep.csv and the computed blocks of sweep.json (config, which
+    # holds the output directory, is left out) with SSC samples every 7th
+    # slot: the perp and par columns rest on every projection and norm.
+    doc = base_doc(tmp_path, epsilon_grid=[0.3, 0.2, 0.1], replications=2,
+                   ssc_sampling_stride=7, **doc)
+    assert cli.main(["sweep", "--config", write_cfg(tmp_path, doc), "--jobs", "1"]) == 0
+    out = tmp_path / "out"
+    assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == csv_sha256
+    assert _report_sha256(out / "sweep.json", ("rows", "analytics", "ssc")) == json_sha256
+
+
 def test_seed_flag_matches_config_seed(tmp_path):
     # --seed is applied to the document before the config is built, so it
     # reaches every run exactly as a "seed" key would.
@@ -468,9 +498,10 @@ def test_cmd_lower_bound(tmp_path):
 def test_cmd_lower_bound_infeasible_n(tmp_path, capsys):
     path = write_cfg(tmp_path, base_doc(tmp_path, n=4))
     assert cli.main(["lower-bound", "--config", path]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("infeasible request:")
-    assert "orderings" in err
+    assert capsys.readouterr().err == (
+        "infeasible request: n=4 requires (24)! = factorial(24) priority orderings; "
+        "the enumeration is only feasible for n <= 3\n"
+    )
 
 
 # -------- simulate command --------
@@ -503,26 +534,32 @@ def test_cmd_simulate_with_trace(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "doc, sha256",
+    "doc, sha256, run_sha256",
     [
         (dict(n=3, cost={"preset": "checker", "a": 1, "b": 2},
               arrival={"kind": "uniform-integer", "nu": "uniform", "a_max": 2},
               epsilon_grid=[0.1], slots=600, warmup=100, seed=5),
-         "c162dd712347a74fd24b81d03be31c76af6b299c4ed1b8ad392ef6bd4f03e6ce"),
+         "c162dd712347a74fd24b81d03be31c76af6b299c4ed1b8ad392ef6bd4f03e6ce",
+         "69f4b815699a8c1da58ac760a8e5bfc5349379889fcb30ca257d3ad3b22c21b6"),
         (dict(n=8, cost={"preset": "random", "seed": 3, "lo": 0.5, "hi": 2},
               arrival={"kind": "truncated-poisson", "nu": "uniform", "a_max": 3},
               epsilon_grid=[0.2], slots=300, warmup=60, seed=5),
-         "ce76761c3e060c0c38fe18cbbdeeba847a88b6951dd6b8ded22b8b35eda2d87d"),
+         "ce76761c3e060c0c38fe18cbbdeeba847a88b6951dd6b8ded22b8b35eda2d87d",
+         "0284cbfb520fc278f309c330c3537126f9bae7bf48cab3010922bc25b4c40219"),
     ],
     ids=["n3-uniform-integer", "n8-hungarian-poisson"],
 )
-def test_cmd_simulate_trace_pinned(tmp_path, doc, sha256):
+def test_cmd_simulate_trace_pinned(tmp_path, doc, sha256, run_sha256):
     # Bytes of the trace as the slot-by-slot writer produced them; the n = 3
-    # trace has multi-packet arrivals and tie-broken schedules.
+    # trace has multi-packet arrivals and tie-broken schedules.  run.json is
+    # pinned without its config, config hash and version.
     path = write_cfg(tmp_path, base_doc(tmp_path, replications=1, **doc))
     trace = tmp_path / "trace.csv"
     assert cli.main(["simulate", "--config", path, "--trace", str(trace)]) == 0
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == sha256
+    run_doc = tmp_path / "out" / "run.json"
+    keys = set(json.loads(run_doc.read_text())) - {"config", "config_hash", "version"}
+    assert _report_sha256(run_doc, keys) == run_sha256
 
 
 # -------- validate command --------

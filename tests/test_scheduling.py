@@ -110,6 +110,22 @@ def test_gather_kernel_matches_loop(n):
     assert seen_ties > 10
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_exact_schedules_are_built_once_per_n(monkeypatch, rng, n):
+    # The exact paths hand out the permutation table's own Schedule objects:
+    # once the table exists, no call builds or re-checks a Schedule.
+    table = perm_table(n)
+    monkeypatch.setattr(Schedule, "__post_init__", lambda self: pytest.fail("Schedule built"))
+    c = ones_cost(n)
+    Q = np.zeros((n, n), dtype=int)
+    s = max_weight_schedule(Q, c, rng)
+    assert any(s is t for t in table.schedules)
+    ties = enumerate_argmax(Q, c)
+    assert len(ties) == len(table.perms) and all(a is b for a, b in zip(ties, table.schedules))
+    assert all(a is b for a, b in zip(all_schedules(n), table.schedules))
+    assert [t.perm for t in table.schedules] == list(table.perms)
+
+
 def test_tie_breaking_uniform(rng):
     c = ones_cost(2)
     Q = np.zeros((2, 2), dtype=int)

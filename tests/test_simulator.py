@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import tracemalloc
 import weakref
 
@@ -177,28 +178,31 @@ def test_run_releases_each_arrival_block_before_sampling_the_next(monkeypatch, n
 
 @pytest.mark.parametrize(
     "n, stride",
-    [(2, 13), (5, 13), (8, 13), (2, 131), (5, 131), (8, 131)],
+    [(2, 13), (5, 13), (8, 13), (2, 131), (5, 131), (8, 131), (2, 1), (5, 1)],
     ids=["n2-faces", "n5-nnls", "n8-hungarian",
-         "n2-faces-stride131", "n5-nnls-stride131", "n8-hungarian-stride131"],
+         "n2-faces-stride131", "n5-nnls-stride131", "n8-hungarian-stride131",
+         "n2-faces-stride1", "n5-nnls-stride1"],
 )
 def test_run_ssc_samples_match_single_grid_projections(monkeypatch, n, stride):
-    # The sampled states of each chunk are projected as stacks.  Chunks of 96
-    # slots hold seven or eight samples at stride 13 and one or none at
-    # stride 131.  Every sample must equal the projection of the recorded
-    # Q(t) and Q(t+1) on its own.
+    # The sampled states of each chunk are projected and normed as stacks.
+    # Chunks of 96 slots hold seven or eight samples at stride 13, one or
+    # none at stride 131 and all 96 at stride 1.  Every sample must equal the
+    # projection of the recorded Q(t) and Q(t+1) on its own, normed by
+    # np.vdot one grid at a time.
     monkeypatch.setattr(simulator, "_CHUNK", 96 * n * n)
     c = CostMatrix(np.random.default_rng(n).uniform(0.5, 2.0, (n, n))) if n > 2 else ones_cost()
     stats, rec = recorded_run(small_cfg(c=c, model=bernoulli(0.1, n), measured=1_500,
                                         warmup=300, ssc_stride=stride))
     Q_next = np.cumsum(rec.A - rec.S + rec.U, axis=0)
     Q = np.concatenate((np.zeros((1, n, n), dtype=np.int64), Q_next[:-1]))
+    wnorm = lambda v: math.sqrt(float(np.vdot(v, c.c * v)))
     perp, par, drift = [], [], []
     for t in range(stats.warmup_slots, len(rec.t), stride):
         before = project_cone(Q[t].astype(float), c)
         after = project_cone(Q_next[t].astype(float), c)
-        perp.append(simulator._wnorm(before.perp, c.c))
-        par.append(simulator._wnorm(before.parallel, c.c))
-        drift.append(simulator._wnorm(after.perp, c.c) - perp[-1])
+        perp.append(wnorm(before.perp))
+        par.append(wnorm(before.parallel))
+        drift.append(wnorm(after.perp) - perp[-1])
     assert len(perp) == -(-1_500 // stride)
     assert stats.perp_samples.tolist() == perp
     assert stats.par_samples.tolist() == par
@@ -260,6 +264,7 @@ def _reduction(q0=(0, 0, 0, 0)):
 def test_reduce_chunk_reads_unused_service_off_the_trajectory():
     A, Qn, served = _hand_chunk()
     red = _reduction()
+    red.ssc[:] = np.nan  # to tell the samples written apart
     simulator._reduce_chunk(red, A, Qn, served)
     assert red.conservation_ok
     assert red.qu_violation == 0.0
@@ -267,7 +272,10 @@ def test_reduce_chunk_reads_unused_service_off_the_trajectory():
     assert red.served.tolist() == [2, 2, 2, 2]
     assert red.u_acc.means == [0.5, 1.5]
     assert red.w_acc.means == [0.0, 2.0]
-    assert len(red.perp) == 2 and red.t == 4 and red.q.tolist() == [1, 0, 1, 0]
+    assert red.t == 4 and red.q.tolist() == [1, 0, 1, 0]
+    # Slots 0 and 3 are sampled: the first two of the 60 / 3 samples.
+    assert red.ssc.shape == (3, 20)
+    assert not np.isnan(red.ssc[:, :2]).any() and np.isnan(red.ssc[:, 2:]).all()
 
 
 @pytest.mark.parametrize("fault", ["plus-one", "negative", "negative-and-consistent"])
@@ -311,7 +319,7 @@ def test_recorded_memory_does_not_grow_with_slots(monkeypatch, tmp_path, n, via)
     # Slot records leave run one chunk at a time and run keeps none of them:
     # a recorded run, and simulate --trace writing each chunk as it comes,
     # peak the same at ten times the slots.  Sparse SSC samples keep their
-    # lists small beside the chunks.
+    # arrays small beside the chunks.
     monkeypatch.setattr(simulator, "_CHUNK", 1024)
     peaks = []
     for measured in (5_000, 50_000):
@@ -355,6 +363,26 @@ def test_recorded_memory_is_the_record_arrays(monkeypatch, n):
         sizes.append(sum(getattr(c, f.name).nbytes
                          for c in chunks for f in dataclasses.fields(c)))
     assert peaks[1] - peaks[0] <= 1.5 * (sizes[1] - sizes[0])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ssc_sample_memory_is_the_sample_arrays(monkeypatch, n):
+    # SSC samples go straight into float64 arrays allocated once: sampling
+    # every slot, run's peak may grow with the slots by about the 24 bytes of
+    # each sample's perp, par and drift values, and by no list or copy.
+    monkeypatch.setattr(simulator, "_CHUNK", 1024)
+    cfg = small_cfg(c=ones_cost(n), model=bernoulli(0.2, n), warmup=500, ssc_stride=1)
+    peaks, samples = [], []
+    for measured in (5_000, 20_000):
+        tracemalloc.start()
+        try:
+            stats = run(dataclasses.replace(cfg, measured=measured))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert stats.perp_samples.size == stats.measured_slots
+        samples.append(stats.measured_slots)
+    assert peaks[1] - peaks[0] <= 1.5 * 24 * (samples[1] - samples[0])
 
 
 def test_step_validates_only_states_built_by_callers():
