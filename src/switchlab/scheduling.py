@@ -39,11 +39,13 @@ __all__ = [
 ]
 
 # Largest n served by exact enumeration, which breaks ties uniformly.  Measured
-# on a 2-vCPU host (checker(1, 2) costs, Bernoulli arrivals, eps = 0.05): exact
-# `simulator.run` reaches about 34k slots/s at n = 7 and the Hungarian engine
-# about 92k at n = 8, where one exact kernel call (40320 permutations) takes
-# 0.84 ms against 9 us for one Hungarian solve.  Speed alone would lower this
-# bound; it stays for the uniform tie breaking.
+# on a 2-vCPU host (serial `simulator.run`, unit and checker(1, 2) costs,
+# Bernoulli arrivals, eps = 0.05, 40k slots, no SSC samples, process CPU):
+# exact enumeration reaches 9-13k slots/s at n = 7, where one kernel call (5040
+# permutations) takes 0.06-0.1 ms, and the Hungarian engine 32-42k at n = 8,
+# where one solve takes 10-12 us against 3 ms for one exact kernel call (40320
+# permutations).  Speed alone would lower this bound; it stays for the uniform
+# tie breaking.
 EXACT_MAX_N = 7
 
 

@@ -11,8 +11,11 @@ Arrivals of a slot are servable within the slot, which is exactly what makes
 
 ``run`` drives a long replication chunk by chunk.  A sequential recursion,
 one per matcher mode, does per slot only what the next slot needs: the
-schedule from Q(t) by the matcher kernels of ``scheduling``, the arrivals,
-the service, and a record of Q(t+1) and the served queues.  ``_reduce_chunk``
+schedule from Q(t), the arrivals, the service, and a record of Q(t+1) and
+the served queues.  Above n = 4 the schedule comes from the matcher kernels
+of ``scheduling``; at n <= 4 the whole slot loop is Python source generated
+for n (``_slot_kernel``), straight-line code over local variables that makes
+the kernels' choices and tie-break draws bit for bit.  ``_reduce_chunk``
 then turns each chunk of records into unused service, per-slot checks of
 the update, batch-means statistics and cone-projection samples with array
 operations, the same code for both engines, and passes the chunk's slot
@@ -27,11 +30,12 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .scheduling import Schedule, argmax_kernel, break_tie, matcher_mode, perm_table
-from .scheduling import _hungarian_perm, max_weight_schedule
+from .scheduling import _GATHER_MIN_N, _hungarian_perm, max_weight_schedule
 # Not called here; perfbench/spans.py traces the Hungarian solver at this name.
 from .scheduling import hungarian_schedule
 from .traffic import ArrivalModel
@@ -369,23 +373,86 @@ def _reduce_chunk(red: _Reduction, A: np.ndarray, Qn: np.ndarray, served: np.nda
     red.t = t0 + m
 
 
-def _exact_engine(cost: CostMatrix, tiebreak_rng: np.random.Generator):
-    """The recursion of the exact engine: ``advance(A)`` runs the slots of the
-    arrival rows ``A`` and returns ``A``, Q(t+1) and the served flat indices.
-    The queues live in a Python list, which beats array operations on so few."""
-    n2 = cost.n * cost.n
-    pidx = perm_table(cost.n).pidx
-    served_of = np.array(pidx, dtype=np.intp)
-    ties_of = argmax_kernel(cost)
-    uniform = _uniforms(tiebreak_rng).__next__
-    queues = [0] * n2
+@lru_cache(maxsize=None)
+def _slot_kernel(n: int):
+    """The exact engine's slot loop below n = ``_GATHER_MIN_N``, generated for
+    n ports as straight-line code over local variables and compiled on first
+    use: ``slots(c, q, uniform, rows)`` runs one slot per arrival row of
+    ``rows`` (lists of n^2 ints) from the flat queue list ``q`` under the
+    flat costs ``c``, writes the queues back into ``q`` and returns Q(t+1) of
+    every slot, flat, and the chosen positions in ``perm_table(n)``.
 
-    def advance(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q = queues
+    The source is built from n and ``perm_table(n).pidx`` alone; the costs
+    come in as an argument.  Each slot makes the choice of ``break_tie(
+    argmax_kernel(cost)(q), uniform)`` bit for bit: every weight is the sum of
+    c_k * q_k in the kernel's row order (c > 0 and q >= 0, so its first
+    0.0 + term is term), a unique maximiser draws nothing, and a tie draws
+    one uniform to index the ascending list of maximisers.  Arrivals join,
+    then each served queue sends one packet if it has one.
+    """
+    pidx = perm_table(n).pidx
+    perms = range(len(pidx))
+    lines: list[str] = []
+
+    def emit(depth: int, *code: str):
+        lines.extend("    " * depth + line for line in code)
+
+    def names(prefix: str) -> str:
+        return ", ".join(f"{prefix}{k}" for k in range(n * n))
+
+    def serve(lo: int, hi: int, depth: int):
+        # A balanced branch on p down to one permutation's served queues.
+        if hi - lo == 1:
+            for k in pidx[lo]:
+                emit(depth, f"if q{k}:", f"    q{k} -= 1")
+            return
+        mid = (lo + hi) // 2
+        emit(depth, f"if p < {mid}:")
+        serve(lo, mid, depth + 1)
+        emit(depth, "else:")
+        serve(mid, hi, depth + 1)
+
+    emit(0, "def slots(c, q, uniform, rows):")
+    emit(1, f"{names('c')} = c", f"{names('q')} = q",
+         "qs = []", "ps = []", "record_q = qs.extend", "record_p = ps.append")
+    emit(1, f"for {names('a')} in rows:")
+    # Each product c_k * q_k enters (n - 1)! weights; form it once.
+    emit(2, *(f"m{k} = c{k} * q{k}" for k in range(n * n)))
+    emit(2, *(f"w{p} = " + " + ".join(f"m{k}" for k in pidx[p]) for p in perms))
+    if n == 2:
+        # A tie at n = 2 holds both schedules, so ties[i] is i.
+        emit(2, "if w0 > w1:", "    p = 0", "elif w1 > w0:", "    p = 1",
+             "else:", "    p = int(uniform() * 2)")
+    else:
+        emit(2, "best = w0", "p = 0", "tie = False")
+        for p in perms[1:]:
+            emit(2, f"if w{p} > best:", f"    best = w{p}", f"    p = {p}", "    tie = False",
+                 f"elif w{p} == best:", "    tie = True")
+        emit(2, "if tie:", "    ties = []")
+        for p in perms:
+            emit(3, f"if w{p} == best:", f"    ties.append({p})")
+        emit(3, "p = ties[int(uniform() * len(ties))]")
+    emit(2, *(f"q{k} += a{k}" for k in range(n * n)))
+    serve(0, len(pidx), 2)
+    emit(2, f"record_q(({names('q')}))", "record_p(p)")
+    emit(1, f"q[:] = {names('q')}", "return qs, ps")
+    namespace: dict = {}
+    exec(compile("\n".join(lines) + "\n", f"<slot kernel n={n}>", "exec"), namespace)
+    return namespace["slots"]
+
+
+def _enumeration_slots(cost: CostMatrix, q: list[int], uniform):
+    """The exact engine's slot loop from n = ``_GATHER_MIN_N``: ``slots(rows)``
+    does what ``_slot_kernel(n)`` does, on the flat queue list ``q`` in
+    place, with ``argmax_kernel`` and ``break_tie`` choosing."""
+    pidx = perm_table(cost.n).pidx
+    ties_of = argmax_kernel(cost)
+
+    def slots(rows) -> tuple[list[int], list[int]]:
         qs: list[int] = []
         ps: list[int] = []
         record_q, record_p = qs.extend, ps.append
-        for a in A.tolist():
+        for a in rows:
             p = break_tie(ties_of(q), uniform)
             for k, x in enumerate(a):
                 if x:
@@ -395,6 +462,30 @@ def _exact_engine(cost: CostMatrix, tiebreak_rng: np.random.Generator):
                     q[k] -= 1
             record_q(q)
             record_p(p)
+        return qs, ps
+
+    return slots
+
+
+def _exact_engine(cost: CostMatrix, tiebreak_rng: np.random.Generator):
+    """The recursion of the exact engine: ``advance(A)`` runs the slots of the
+    arrival rows ``A`` and returns ``A``, Q(t+1) and the served flat indices.
+    The queues are Python ints, which beat array operations on so few, kept
+    in a list between chunks.  Below n = ``_GATHER_MIN_N`` the slots run in
+    the generated ``_slot_kernel(n)``, from there in ``_enumeration_slots``;
+    both make the choices of ``max_weight_schedule`` from the same tiebreak
+    stream."""
+    n2 = cost.n * cost.n
+    served_of = np.array(perm_table(cost.n).pidx, dtype=np.intp)
+    uniform = _uniforms(tiebreak_rng).__next__
+    queues = [0] * n2
+    if cost.n < _GATHER_MIN_N:
+        slots = partial(_slot_kernel(cost.n), cost._flat_tuple, queues, uniform)
+    else:
+        slots = _enumeration_slots(cost, queues, uniform)
+
+    def advance(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        qs, ps = slots(A.tolist())
         return A, np.array(qs, dtype=np.int64).reshape(-1, n2), served_of[ps]
 
     return advance

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import tracemalloc
@@ -22,7 +23,7 @@ from switchlab.simulator import (
 )
 from switchlab.traffic import ArrivalModel, uniform_nu
 from switchlab.wlinalg import CostMatrix, cdot, project_cone
-from conftest import recorded_run
+from conftest import exact_n2_mean, recorded_run
 
 
 def ones_cost(n=2):
@@ -35,6 +36,12 @@ def bernoulli(eps, n=2):
 
 def checker(n):
     return CostMatrix([[1.0 + (i + j) % 2 for j in range(n)] for i in range(n)])
+
+
+def decimal_cost(n, seed=5):
+    # Entries 0.1, 0.2 and 0.3 have no exact binary form, so whether two
+    # schedules' weights tie depends on the order their terms are added in.
+    return CostMatrix(np.random.default_rng(seed).choice([0.1, 0.2, 0.3], (n, n)))
 
 
 def small_cfg(**kw):
@@ -224,18 +231,21 @@ def _assert_same_stats(got, want):
     "cost, model",
     [
         (ones_cost(), bernoulli(0.1)),
+        (decimal_cost(4), bernoulli(0.1, 4)),
         (checker(5), bernoulli(0.1, 5)),
         (CostMatrix(np.random.default_rng(8).uniform(0.5, 2.0, (8, 8))), bernoulli(0.2, 8)),
         (checker(3), ArrivalModel.uniform_integer(uniform_nu(3), 0.1, a_max=3)),
     ],
-    ids=["n2-exact", "n5-exact", "n8-hungarian", "n3-uniform-integer"],
+    ids=["n2-exact", "n4-exact", "n5-exact", "n8-hungarian", "n3-uniform-integer"],
 )
 @pytest.mark.parametrize("rows", [1, 7])
 def test_run_chunk_edges_change_no_output(monkeypatch, cost, model, rows):
     # Each chunk is sampled, advanced and reduced on its own.  Chunks of 96
     # against chunks of 1 and 7 slots put the edges mid-batch (batches of
     # 50), at and across the warmup edge (250) and in different places of
-    # the arrival stream; no output may move.
+    # the arrival stream; no output may move.  At n <= 4 this also checks
+    # that the generated slot kernel writes its local queues back into the
+    # engine's state and continues the tiebreak stream across chunks.
     monkeypatch.setattr(simulator, "_CHUNK", 96 * cost.n**2)
     cfg = RunConfig(c=cost, model=model, measured=1_500, warmup=250, ssc_stride=13,
                     seed=7, stream_key=(1,))
@@ -411,7 +421,9 @@ def test_run_hungarian_mode_matches_dynamics():
     "cost, model, arrivals",
     [
         (CostMatrix([[1.0, 2.0], [2.0, 1.0]]), bernoulli(0.1), "recorded"),
+        (ones_cost(), bernoulli(0.1), "recorded"),
         (checker(4), bernoulli(0.1, 4), "recorded"),
+        (decimal_cost(4), bernoulli(0.1, 4), "recorded"),
         (checker(5), bernoulli(0.1, 5), "recorded"),
         (CostMatrix(np.random.default_rng(8).uniform(0.5, 2.0, (8, 8))), bernoulli(0.2, 8),
          "recorded"),
@@ -421,7 +433,8 @@ def test_run_hungarian_mode_matches_dynamics():
          ArrivalModel.truncated_poisson(uniform_nu(9), 0.2, a_max=2), None),
         (checker(3), ArrivalModel.uniform_integer(uniform_nu(3), 0.1, a_max=3), None),
     ],
-    ids=["n2-exact", "n4-checker-exact", "n5-checker-exact", "n8-hungarian",
+    ids=["n2-exact", "n2-unit-exact", "n4-checker-exact", "n4-decimal-exact",
+         "n5-checker-exact", "n8-hungarian",
          "n9-hungarian-poisson", "n9-hungarian-poisson-sampled",
          "n3-exact-uniform-integer-sampled"],
 )
@@ -462,30 +475,54 @@ def test_step_replay_matches_run_bit_for_bit(cost, model, arrivals):
 
 
 @pytest.mark.parametrize(
-    "n, measured, expected",
+    "cost, model, measured, expected",
     [
-        (5, 3000, (43.80433333333333, 2.3295983415495023, 0.5, [
+        (ones_cost(), bernoulli(0.1), 30_000,
+         (7.160333333333332, 0.2493265150582888, 0.19859999999999997,
+          [[13526, 13639], [13481, 13396]],
+          "b152ff167f81d569ddc0373f825ec7d82219267aed21bd4ecb0edb1fd5f55b07")),
+        (CostMatrix(np.random.default_rng(3).uniform(0.5, 2.0, (3, 3))),
+         ArrivalModel.truncated_poisson(uniform_nu(3), 0.1, a_max=3), 9000,
+         (21.92863041581535, 1.6448143441438423, 0.30177777777777776,
+          [[2603, 2755, 2670], [2712, 2712, 2718], [2704, 2726, 2684]],
+          "f2c3a27518384e2fca840d9111b7216e78109126b22ef9f226dd588cfdd0751a")),
+        (CostMatrix(np.random.default_rng(4).uniform(0.5, 2.0, (4, 4))),
+         ArrivalModel.uniform_integer(uniform_nu(4), 0.1, a_max=2), 6000,
+         (56.595170487849956, 2.7975869148572454, 0.38433333333333336,
+          [[1370, 1345, 1352, 1377], [1345, 1367, 1395, 1338], [1300, 1390, 1398, 1390],
+           [1341, 1378, 1313, 1295]],
+          "86e11ed4a1ce845cabadb44ce99962baf51de8ed5938a50f7f0c3ff9720114dc")),
+        (checker(5), bernoulli(0.1, 5), 3000,
+         (43.80433333333333, 2.3295983415495023, 0.5, [
             [548, 556, 554, 546, 563], [562, 510, 546, 529, 563], [560, 553, 558, 508, 523],
-            [545, 530, 490, 535, 550], [550, 536, 513, 521, 551]])),
-        (6, 1500, (52.528000000000006, 2.4882123204670736, 0.5593333333333333, [
+            [545, 530, 490, 535, 550], [550, 536, 513, 521, 551]],
+          "d354806b5b3fcad8770242ece6800e847a82f7d7264a5d582f015388c9f9ee21")),
+        (checker(6), bernoulli(0.1, 6), 1500,
+         (52.528000000000006, 2.4882123204670736, 0.5593333333333333, [
             [213, 229, 251, 242, 245, 210], [235, 204, 227, 224, 229, 214],
             [220, 242, 247, 228, 226, 226], [234, 248, 216, 213, 233, 215],
-            [220, 215, 211, 222, 235, 249], [234, 209, 212, 218, 244, 221]])),
+            [220, 215, 211, 222, 235, 249], [234, 209, 212, 218, 244, 221]],
+          "37524ebf3ea5d7a274de258f69e21f9791d32b154835cbc4b05250ca308ab0dd")),
     ],
-    ids=["n5", "n6"],
+    ids=["n2-unit-bernoulli", "n3-random-poisson", "n4-random-uniform-integer", "n5", "n6"],
 )
-def test_exact_run_pinned(n, measured, expected):
-    # Values produced by the pure-Python enumeration loop at every n; the numpy
-    # kernel must reproduce them bit for bit.
-    cfg = RunConfig(c=checker(n), model=bernoulli(0.1, n), measured=measured, warmup=300,
+def test_exact_run_pinned(cost, model, measured, expected):
+    # The n5 and n6 values were produced by the pure-Python enumeration loop,
+    # the rest (and every sample hash) by the generic engine loop before the
+    # generated slot kernels; the numpy kernel (n >= 5) and the generated
+    # kernels (n <= 4) must reproduce them bit for bit, SSC samples included
+    # (sha256 of the perp, par and drift sample bytes).
+    cfg = RunConfig(c=cost, model=model, measured=measured, warmup=300,
                     seed=17, stream_key=(0, 1))
     stats = run(cfg)
-    mean, stderr, unused, departures = expected
+    mean, stderr, unused, departures, ssc_sha = expected
     assert stats.matcher_mode == "exact-enumeration"
     assert stats.mean_weighted_qsum == mean
     assert stats.stderr_weighted_qsum == stderr
     assert stats.unused_service_rate == unused
     assert np.array_equal(stats.departure_rate, np.array(departures) / measured)
+    ssc = np.concatenate((stats.perp_samples, stats.par_samples, stats.drift_samples))
+    assert hashlib.sha256(ssc.tobytes()).hexdigest() == ssc_sha
 
 
 @pytest.mark.parametrize(
@@ -555,6 +592,29 @@ def test_default_warmup_heuristic():
     for eps in (1e-300, 1e-160):
         with pytest.raises(ValueError, match="too small for the default warmup"):
             default_warmup(eps)
+
+
+# -------- exact finite-load reference --------
+
+@pytest.mark.parametrize(
+    "cost, exact",
+    [(ones_cost(), 0.54066070), (CostMatrix([[1.0, 2.0], [2.0, 1.0]]), 0.76502994)],
+    ids=["unit", "checker"],
+)
+def test_run_matches_the_exact_n2_markov_chain(cost, exact):
+    # The stationary eps * E[sum c Q] of the n = 2 chain at eps 0.3, solved
+    # by the oracle, against two pooled replications of run (seeds fixed
+    # before any result was seen).  Serving arrivals only from the next slot
+    # moves the estimate by over 200 se; a tie break that always picks the
+    # first schedule moves the checker case by about 10 se.
+    model = bernoulli(0.3)
+    assert exact_n2_mean(cost, model) == pytest.approx(exact, abs=5e-9)
+    stats = [run(RunConfig(c=cost, model=model, measured=750_000, warmup=1000, seed=seed,
+                           ssc_stride=10**9)) for seed in (11, 12)]
+    pooled = model.epsilon * np.mean([s.mean_weighted_qsum for s in stats])
+    se = model.epsilon * math.sqrt(sum(s.stderr_weighted_qsum**2 for s in stats)) / len(stats)
+    assert abs(pooled - exact) <= 4 * se, (pooled, exact, se)
+    assert all(s.conservation_ok for s in stats)
 
 
 # -------- drift diagnostics --------
