@@ -402,18 +402,13 @@ def _write_report(cfg: ExperimentConfig, name: str, doc: dict, *before: Path) ->
 
 def _trace_writer(f, n: int):
     """``simulate --trace``'s ``RunConfig.record``: each chunk's slots as CSV rows
-    of ``f``, Q(t+1) = Q(t) + A - S + U carried across chunks from empty queues."""
-    n2 = n * n
-    ij = np.divmod(np.arange(n2), n)
-    q = np.zeros(n2, dtype=np.int64)
+    of ``f``, with the queues Q(t+1) after each slot."""
+    ij = np.divmod(np.arange(n * n), n)
     f.write("t,i,j,Q,A,S,U\n")
 
     def write(rec: simulator.SlotRecord):
-        nonlocal q
-        A, S, U = (x.reshape(-1, n2) for x in (rec.A, rec.S, rec.U))
-        Q = q + np.cumsum(A - S + U, axis=0)
-        q = Q[-1]
-        cols = (np.repeat(rec.t, n2), *(np.tile(x, len(Q)) for x in ij), Q, A, S, U)
+        cols = (np.repeat(rec.t, n * n), *(np.tile(x, len(rec.t)) for x in ij),
+                rec.Q, rec.A, rec.S, rec.U)
         f.writelines(map("{},{},{},{},{},{},{}\n".format, *(c.ravel().tolist() for c in cols)))
 
     return write

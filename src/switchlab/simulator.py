@@ -112,14 +112,17 @@ class QueueState:
 
 @dataclass
 class SlotRecord:
-    """One slot from ``step``: ``t`` an int, ``A``, ``S``, ``U`` (n, n) int64,
-    ``weighted_qsum`` a float.  ``run`` hands ``RunConfig.record`` each chunk
-    of m slots in order as one record with a leading slot axis: ``t`` (m,),
-    ``A``, ``S``, ``U`` (m, n, n) int64, ``weighted_qsum`` (m,) float64."""
+    """One slot from ``step``: ``t`` an int, ``A``, ``S``, ``U`` and the queues
+    after it ``Q`` (n, n) int64, ``weighted_qsum`` a float.  ``run`` hands
+    ``RunConfig.record`` each chunk of m slots in order as one record with a
+    leading slot axis: ``t`` (m,), ``A``, ``S``, ``U``, ``Q`` (m, n, n) int64,
+    ``weighted_qsum`` (m,) float64; its ``Q`` is the trajectory that
+    ``_reduce_chunk`` has checked against Q(t+1) = Q(t) + A(t) - S(t) + U(t)."""
     t: int | np.ndarray
     A: np.ndarray
     S: np.ndarray
     U: np.ndarray
+    Q: np.ndarray
     weighted_qsum: float | np.ndarray
 
 
@@ -250,16 +253,18 @@ def step(
     q = Q.ravel().tolist()
     idxs = [i * n + j for i, j in enumerate(s.perm)]
     unused = _serve(q, A.ravel().tolist(), idxs)
+    Q_next = np.array(q, dtype=np.int64).reshape(n, n)
     rec = SlotRecord(
         t=state.t,
         A=A,
         S=_indicator(idxs, n),
         U=_indicator(unused, n),
+        Q=Q_next,
         weighted_qsum=_weighted_sum(cost._flat_tuple, q),
     )
     # _serve leaves no queue negative: the successor skips the copy and scan
     # that validate a caller's state.
-    return QueueState._unchecked(np.array(q, dtype=np.int64).reshape(n, n), state.t + 1), rec
+    return QueueState._unchecked(Q_next, state.t + 1), rec
 
 
 class _BatchAcc:
@@ -367,7 +372,7 @@ def _reduce_chunk(red: _Reduction, A: np.ndarray, Qn: np.ndarray, served: np.nda
     if red.record is not None:
         S, U = np.zeros((2, m, n2), dtype=np.int64)
         S[rows, served], U[rows, served] = 1, u
-        grids = (x.reshape(m, n, n) for x in (A, S, U))
+        grids = (x.reshape(m, n, n) for x in (A, S, U, Qn))
         red.record(SlotRecord(np.arange(t0, t0 + m, dtype=np.int64), *grids, w))
     red.q = Qn[-1].copy()
     red.t = t0 + m
@@ -378,7 +383,7 @@ def _slot_kernel(n: int):
     """The exact engine's slot loop below n = ``_GATHER_MIN_N``, generated for
     n ports as straight-line code over local variables and compiled on first
     use: ``slots(c, q, uniform, rows)`` runs one slot per arrival row of
-    ``rows`` (lists of n^2 ints) from the flat queue list ``q`` under the
+    ``rows`` (sequences of n^2 ints) from the flat queue list ``q`` under the
     flat costs ``c``, writes the queues back into ``q`` and returns Q(t+1) of
     every slot, flat, and the chosen positions in ``perm_table(n)``.
 
@@ -444,7 +449,8 @@ def _slot_kernel(n: int):
 def _enumeration_slots(cost: CostMatrix, q: list[int], uniform):
     """The exact engine's slot loop from n = ``_GATHER_MIN_N``: ``slots(rows)``
     does what ``_slot_kernel(n)`` does, on the flat queue list ``q`` in
-    place, with ``argmax_kernel`` and ``break_tie`` choosing."""
+    place, with ``argmax_kernel`` and ``break_tie`` choosing and ``step``'s
+    ``_serve`` updating the queues."""
     pidx = perm_table(cost.n).pidx
     ties_of = argmax_kernel(cost)
 
@@ -454,12 +460,7 @@ def _enumeration_slots(cost: CostMatrix, q: list[int], uniform):
         record_q, record_p = qs.extend, ps.append
         for a in rows:
             p = break_tie(ties_of(q), uniform)
-            for k, x in enumerate(a):
-                if x:
-                    q[k] += x
-            for k in pidx[p]:
-                if q[k] > 0:
-                    q[k] -= 1
+            _serve(q, a, pidx[p])
             record_q(q)
             record_p(p)
         return qs, ps
@@ -485,7 +486,7 @@ def _exact_engine(cost: CostMatrix, tiebreak_rng: np.random.Generator):
         slots = _enumeration_slots(cost, queues, uniform)
 
     def advance(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        qs, ps = slots(A.tolist())
+        qs, ps = slots(zip(*[iter(A.ravel().tolist())] * n2))
         return A, np.array(qs, dtype=np.int64).reshape(-1, n2), served_of[ps]
 
     return advance

@@ -195,15 +195,15 @@ def _check_simulator(rng, matcher_fn) -> tuple[bool, str]:
 
     def replay(rec: simulator.SlotRecord):
         nonlocal state, bounds_ok
-        S, U, Q_next = (np.empty_like(rec.A) for _ in range(3))
+        S, U = (np.empty_like(rec.A) for _ in range(2))
         for k, A in enumerate(rec.A):
             s = matcher_fn(state.Q, cost, tiebreak_rng)
             state, got = simulator.step(state, model, cost, arrival_rng, tiebreak_rng,
                                         schedule=s, arrivals=A)
-            S[k], U[k], Q_next[k] = got.S, got.U, state.Q
+            S[k], U[k] = got.S, got.U
         departed.extend(rec.t[((S != rec.S) | (U != rec.U)).any(axis=(1, 2))])
         bounds_ok &= not ((U < 0) | (U > 1) | (U > S)).any()
-        overlap.extend(rec.t[(cost.c * Q_next * U).sum(axis=(1, 2)) != 0])
+        overlap.extend(rec.t[(cost.c * rec.Q * U).sum(axis=(1, 2)) != 0])
 
     cfg = simulator.RunConfig(
         c=cost, model=model, measured=20_000, warmup=2_000, seed=11,

@@ -13,7 +13,6 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from switchlab import simulator
 from switchlab.traffic import ArrivalModel
@@ -98,45 +97,56 @@ def exact_n2_mean(cost: CostMatrix, model: ArrivalModel, L: int = 22) -> float:
     """eps * E[sum_ij c_ij Q_ij] of the n = 2 switch in its stationary law,
     solved from its Markov chain rather than simulated.
 
-    Each queue is truncated at ``L``, so the states are Q in {0..L}^4.  The
-    sparse transitions follow the engine's rules, written out here on their
-    own: schedule 0 serves flat queues (0, 3), schedule 1 serves (1, 2); the
-    one with the larger weight c_k q_k + c_l q_l (row order) is served, each
-    with probability 1/2 on a tie; the arrivals A, independent per queue with
-    the pmf of the model's survival table, join and are servable at once,
-    Q' = min(max(Q + A - S, 0), L).  The law is power-iterated from Q = 0
-    until its L1 change drops below 1e-13; the mass on the truncation
-    boundary must stay negligible.
+    Each queue is truncated at ``L``, so the law is an (L+1)^4 array over Q in
+    {0..L}^4.  The transitions follow the engine's rules, written out here on
+    their own: schedule 0 serves flat queues (0, 3), schedule 1 serves (1, 2);
+    the one with the larger weight c_k q_k + c_l q_l (row order) is served,
+    each with probability 1/2 on a tie; the arrivals A, independent per queue
+    with the pmf of the model's survival table, join and are servable at once,
+    Q' = min(max(Q + A - S, 0), L).  Given the schedule the queues move
+    independently, so a slot takes each schedule's share of the law and
+    applies, axis by axis, the (L+1, L+1) matrix that moves one queue.  The
+    law is iterated from Q = 0 until its L1 change drops below 1e-13; the
+    mass on the truncation boundary must stay negligible.
     """
     assert cost.n == model.n == 2
-    shape = (L + 1,) * 4
-    Q = np.indices(shape).reshape(4, -1)
+    q = np.arange(L + 1)
+    Q = np.ix_(q, q, q, q)  # Q[k] varies along axis k only
     c = cost.flat
     w0, w1 = c[0] * Q[0] + c[3] * Q[3], c[1] * Q[1] + c[2] * Q[2]
     tail = np.hstack((np.ones((4, 1)), model._survival, np.zeros((4, 1))))
     pmf = tail[:, :-1] - tail[:, 1:]  # pmf[k, a] = P(A_k = a)
-    P = sparse.csr_matrix((Q.shape[1],) * 2)  # law after a slot = P @ law before
-    for p_sched, served in (((w0 > w1) + 0.5 * (w0 == w1), (1, 0, 0, 1)),
-                            ((w1 > w0) + 0.5 * (w0 == w1), (0, 1, 1, 0))):
-        src = np.nonzero(p_sched)[0]
-        for a in itertools.product(range(model.a_max + 1), repeat=4):
-            p_a = np.prod(pmf[np.arange(4), a])
-            if p_a > 0.0:
-                nxt = np.clip(Q[:, src] + (np.array(a) - served)[:, None], 0, L)
-                P += sparse.csr_matrix((p_sched[src] * p_a, (np.ravel_multi_index(nxt, shape), src)),
-                                       shape=P.shape)
-    pi = np.zeros(Q.shape[1])
-    pi[0] = 1.0
+    # move[k, s][q', q] = P(min(max(q + A_k - s, 0), L) = q')
+    move = np.zeros((4, 2, L + 1, L + 1))
+    for k, s in itertools.product(range(4), (0, 1)):
+        for a, p in enumerate(pmf[k]):
+            move[k, s, np.clip(q + a - s, 0, L), q] += p
+
+    def along(k, M, x):  # M applied to the axis k of x
+        if k == 3:
+            return x @ M.T
+        return (M @ x.reshape(-1, L + 1, (L + 1) ** (3 - k))).reshape(x.shape)
+
+    schedules = (((w0 > w1) + 0.5 * (w0 == w1), (1, 0, 0, 1)),
+                 ((w1 > w0) + 0.5 * (w0 == w1), (0, 1, 1, 0)))
+    pi = np.zeros((L + 1,) * 4)
+    pi[0, 0, 0, 0] = 1.0
     for _ in range(5000):
-        nxt = P @ pi
+        nxt = np.zeros_like(pi)
+        for p_sched, served in schedules:
+            x = pi * p_sched
+            for k in range(4):
+                x = along(k, move[k, served[k]], x)
+            nxt += x
         change = float(np.abs(nxt - pi).sum())
         pi = nxt
         if change < 1e-13:
             break
     else:
         raise AssertionError("Markov chain power iteration did not converge")
-    assert pi[(Q == L).any(axis=0)].sum() < 1e-9, "truncation boundary carries mass"
-    return model.epsilon * float(pi @ (c @ Q))
+    boundary = (Q[0] == L) | (Q[1] == L) | (Q[2] == L) | (Q[3] == L)
+    assert pi[boundary].sum() < 1e-9, "truncation boundary carries mass"
+    return model.epsilon * float(sum(c[k] * (pi * Q[k]).sum() for k in range(4)))
 
 
 @pytest.fixture

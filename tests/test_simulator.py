@@ -116,13 +116,12 @@ def test_run_slot_records_and_conservation():
     stats, rec = recorded_run(small_cfg(measured=5_000, warmup=500, ssc_stride=10))
     assert stats.conservation_ok
     assert stats.qu_dot_violation == 0.0
-    Q = np.cumsum(rec.A - rec.S + rec.U, axis=0)  # Q(t+1), from empty queues
-    assert (Q >= 0).all()
+    assert (rec.Q >= 0).all()
     assert (rec.U <= rec.S).all()
-    assert not (Q * rec.U).any()
+    assert not (rec.Q * rec.U).any()
     T = stats.warmup_slots + stats.measured_slots
     assert rec.t.tolist() == list(range(T))
-    for grid in (rec.A, rec.S, rec.U):
+    for grid in (rec.A, rec.S, rec.U, rec.Q):
         assert grid.dtype == np.int64 and grid.shape == (T, 2, 2)
     assert rec.weighted_qsum.dtype == np.float64 and rec.weighted_qsum.shape == (T,)
 
@@ -200,7 +199,7 @@ def test_run_ssc_samples_match_single_grid_projections(monkeypatch, n, stride):
     c = CostMatrix(np.random.default_rng(n).uniform(0.5, 2.0, (n, n))) if n > 2 else ones_cost()
     stats, rec = recorded_run(small_cfg(c=c, model=bernoulli(0.1, n), measured=1_500,
                                         warmup=300, ssc_stride=stride))
-    Q_next = np.cumsum(rec.A - rec.S + rec.U, axis=0)
+    Q_next = rec.Q
     Q = np.concatenate((np.zeros((1, n, n), dtype=np.int64), Q_next[:-1]))
     wnorm = lambda v: math.sqrt(float(np.vdot(v, c.c * v)))
     perp, par, drift = [], [], []
@@ -214,6 +213,17 @@ def test_run_ssc_samples_match_single_grid_projections(monkeypatch, n, stride):
     assert stats.perp_samples.tolist() == perp
     assert stats.par_samples.tolist() == par
     assert stats.drift_samples.tolist() == drift
+
+
+@pytest.mark.parametrize("n", [2, 5, 8], ids=["n2-generated", "n5-enumeration", "n8-hungarian"])
+def test_recorded_queues_are_the_update_from_empty_queues(monkeypatch, n):
+    # Each engine's own Q(t+1) reaches the records; summing A - S + U from
+    # empty queues, across chunk edges, must give it back.
+    monkeypatch.setattr(simulator, "_CHUNK", 96 * n * n)
+    _, rec = recorded_run(small_cfg(c=checker(n), model=bernoulli(0.1, n), measured=1_500,
+                                    warmup=300))
+    assert rec.Q.dtype == np.int64 and rec.Q.shape == rec.A.shape
+    assert np.array_equal(rec.Q, np.cumsum(rec.A - rec.S + rec.U, axis=0))
 
 
 def _assert_same_stats(got, want):
@@ -304,22 +314,34 @@ def test_reduce_chunk_detects_a_wrong_update(fault):
     assert not red.conservation_ok
 
 
+def _traced_peaks(go, sizes):
+    """``go(size)`` for each of ``sizes``, and the peak memory tracemalloc saw
+    while each ran.  An untraced ``go(sizes[0])`` first builds what later runs
+    reuse (the cost's projection systems, the generated slot loop), which
+    would otherwise swell the first peak.  The tests run short runs at small
+    chunks (256 queue entries, 64 slots at n = 2, unless a test says else),
+    so they are quick under tracemalloc, while what a fault keeps per chunk
+    still outgrows the peak of a run without it."""
+    go(sizes[0])
+    results, peaks = [], []
+    for size in sizes:
+        tracemalloc.start()
+        try:
+            results.append(go(size))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return results, peaks
+
+
 @pytest.mark.parametrize("n", [2, 8], ids=["n2-faces", "n8-hungarian"])
 def test_run_memory_does_not_grow_with_slots(monkeypatch, n):
     # Statistics are reduced per chunk: nothing the reduction keeps may pin a
     # chunk, its arrivals or its SSC stacks, so ten times the slots stay in
-    # the same peak.  Chunks hold 16384 queue entries (256 slots at n = 8,
-    # 4096 at n = 2), and each chunk's samples are projected as stacks.
-    monkeypatch.setattr(simulator, "_CHUNK", 256 * 8 * 8)
-    cfg = small_cfg(c=ones_cost(n), model=bernoulli(0.2, n), warmup=500)
-    peaks = []
-    for measured in (5_000, 50_000):
-        tracemalloc.start()
-        try:
-            run(dataclasses.replace(cfg, measured=measured))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    # the same peak.
+    monkeypatch.setattr(simulator, "_CHUNK", 256)
+    cfg = small_cfg(c=ones_cost(n), model=bernoulli(0.2, n), warmup=100)
+    _, peaks = _traced_peaks(lambda m: run(dataclasses.replace(cfg, measured=m)), (300, 3_000))
     assert peaks[1] <= 1.5 * peaks[0]
 
 
@@ -330,26 +352,20 @@ def test_recorded_memory_does_not_grow_with_slots(monkeypatch, tmp_path, n, via)
     # a recorded run, and simulate --trace writing each chunk as it comes,
     # peak the same at ten times the slots.  Sparse SSC samples keep their
     # arrays small beside the chunks.
-    monkeypatch.setattr(simulator, "_CHUNK", 1024)
-    peaks = []
-    for measured in (5_000, 50_000):
+    monkeypatch.setattr(simulator, "_CHUNK", 256)
+    cfg = small_cfg(c=ones_cost(n), model=bernoulli(0.2, n), warmup=100, ssc_stride=1000,
+                    record=lambda rec: None)
+    path, trace = tmp_path / "cfg.json", str(tmp_path / "trace.csv")
+
+    def go(measured):
         if via == "run":
-            cfg = small_cfg(c=ones_cost(n), model=bernoulli(0.2, n), warmup=500,
-                            measured=measured, ssc_stride=1000, record=lambda rec: None)
-            go = lambda: run(cfg)
-        else:
-            doc = {"n": n, "epsilon_grid": [0.2], "slots": measured, "warmup": 500, "seed": 3,
-                   "ssc_sampling_stride": 1000, "output_dir": str(tmp_path / "out")}
-            path = tmp_path / "cfg.json"
-            path.write_text(json.dumps(doc))
-            trace = str(tmp_path / "trace.csv")
-            go = lambda: cli.main(["simulate", "--config", str(path), "--trace", trace])
-        tracemalloc.start()
-        try:
-            go()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+            return run(dataclasses.replace(cfg, measured=measured))
+        path.write_text(json.dumps({
+            "n": n, "epsilon_grid": [0.2], "slots": measured, "warmup": 100, "seed": 3,
+            "ssc_sampling_stride": 1000, "output_dir": str(tmp_path / "out")}))
+        return cli.main(["simulate", "--config", str(path), "--trace", trace])
+
+    _, peaks = _traced_peaks(go, (300, 3_000))
     assert peaks[1] <= 1.5 * peaks[0]
 
 
@@ -358,20 +374,18 @@ def test_recorded_memory_is_the_record_arrays(monkeypatch, n):
     # A caller that keeps every chunk it is handed holds the whole run's
     # records; run's own peak may grow with the slots only by about the bytes
     # of those records, so it copies none of them and keeps none of its own.
+    # Chunks of 1024 entries keep the headers of each chunk's objects, which
+    # nbytes does not count, small beside its arrays.
     monkeypatch.setattr(simulator, "_CHUNK", 1024)
-    cfg = small_cfg(c=ones_cost(n), model=bernoulli(0.2, n), warmup=500)
-    peaks, sizes = [], []
-    for measured in (5_000, 20_000):
+    cfg = small_cfg(c=ones_cost(n), model=bernoulli(0.2, n), warmup=100)
+
+    def go(measured):
         chunks = []
-        tracemalloc.start()
-        try:
-            stats = run(dataclasses.replace(cfg, measured=measured, record=chunks.append))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        stats = run(dataclasses.replace(cfg, measured=measured, record=chunks.append))
         assert sum(len(c.t) for c in chunks) == stats.warmup_slots + stats.measured_slots
-        sizes.append(sum(getattr(c, f.name).nbytes
-                         for c in chunks for f in dataclasses.fields(c)))
+        return sum(getattr(c, f.name).nbytes for c in chunks for f in dataclasses.fields(c))
+
+    sizes, peaks = _traced_peaks(go, (600, 2_400))
     assert peaks[1] - peaks[0] <= 1.5 * (sizes[1] - sizes[0])
 
 
@@ -380,18 +394,12 @@ def test_ssc_sample_memory_is_the_sample_arrays(monkeypatch, n):
     # SSC samples go straight into float64 arrays allocated once: sampling
     # every slot, run's peak may grow with the slots by about the 24 bytes of
     # each sample's perp, par and drift values, and by no list or copy.
-    monkeypatch.setattr(simulator, "_CHUNK", 1024)
-    cfg = small_cfg(c=ones_cost(n), model=bernoulli(0.2, n), warmup=500, ssc_stride=1)
-    peaks, samples = [], []
-    for measured in (5_000, 20_000):
-        tracemalloc.start()
-        try:
-            stats = run(dataclasses.replace(cfg, measured=measured))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert stats.perp_samples.size == stats.measured_slots
-        samples.append(stats.measured_slots)
+    monkeypatch.setattr(simulator, "_CHUNK", 256)
+    cfg = small_cfg(c=ones_cost(n), model=bernoulli(0.2, n), warmup=100, ssc_stride=1)
+    stats, peaks = _traced_peaks(lambda m: run(dataclasses.replace(cfg, measured=m)),
+                                 (600, 2_400))
+    assert [s.perp_samples.size for s in stats] == [s.measured_slots for s in stats]
+    samples = [s.measured_slots for s in stats]
     assert peaks[1] - peaks[0] <= 1.5 * 24 * (samples[1] - samples[0])
 
 
@@ -451,7 +459,6 @@ def test_step_replay_matches_run_bit_for_bit(cost, model, arrivals):
         measured=3_000, warmup=300, seed=31, stream_key=(2, 1),
     )
     stats, rec = recorded_run(cfg)
-    Q = np.cumsum(rec.A - rec.S + rec.U, axis=0)  # Q(t+1), from empty queues
     a_rng, t_rng = derive_rngs(cfg.seed, cfg.stream_key)
     state = QueueState.empty(n)
     ties = 0
@@ -464,7 +471,8 @@ def test_step_replay_matches_run_bit_for_bit(cost, model, arrivals):
         assert np.array_equal(got.A, rec.A[t]), f"arrivals differ at slot {t}"
         assert np.array_equal(got.S, rec.S[t]), f"schedule differs at slot {t}"
         assert np.array_equal(got.U, rec.U[t]), f"unused service differs at slot {t}"
-        assert np.array_equal(state.Q, Q[t]), f"queues differ after slot {t}"
+        assert np.array_equal(got.Q, state.Q)
+        assert np.array_equal(state.Q, rec.Q[t]), f"queues differ after slot {t}"
         assert got.weighted_qsum == rec.weighted_qsum[t], f"weighted sum differs at slot {t}"
         assert cdot(state.Q, got.U, cost) == 0.0
     assert not exact or ties > 100  # the exact cases exercise the tie-break

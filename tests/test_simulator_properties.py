@@ -89,7 +89,8 @@ def test_recorded_slots_keep_the_update_invariants(cfg):
     assert ((S == 0) | (S == 1)).all()
     assert (S.sum(axis=1) == 1).all() and (S.sum(axis=2) == 1).all()
     assert ((U == 0) | (U == 1)).all() and (U <= S).all()
-    Q = np.cumsum(A - S + U, axis=0)  # Q(t+1), from empty queues
+    Q = rec.Q
+    assert np.array_equal(Q, np.cumsum(A - S + U, axis=0))  # from empty queues
     assert Q.min() >= 0
     assert not (Q * U).any()  # <Q(t+1), U(t)> = 0 with positive costs
 
@@ -101,4 +102,5 @@ def test_recorded_slots_keep_the_update_invariants(cfg):
         state, got = step(state, cfg.model, cfg.c, arrival_rng, tiebreak_rng)
         assert np.array_equal(got.A, A[t]) and np.array_equal(got.S, S[t])
         assert np.array_equal(got.U, U[t]) and np.array_equal(state.Q, Q[t])
+        assert np.array_equal(got.Q, state.Q)
         assert got.weighted_qsum == rec.weighted_qsum[t]
