@@ -157,6 +157,14 @@ def test_survival_table_agrees_with_moments_on_the_face(nu, eps, kind, a_max):
     _assert_table_matches_moments(model)
 
 
+def test_bernoulli_accepts_a_face_point_rounded_above_one():
+    # Mixture weights normalized by their sum can land one ulp above 1 at
+    # n = 1; face_check accepts that point, so the Bernoulli bound must too.
+    nu = np.array([[np.nextafter(1.0, 2.0)]])
+    assert traffic.face_check(nu)
+    _assert_table_matches_moments(ArrivalModel.bernoulli(nu, 0.5))
+
+
 def test_high_epsilon_rarely_arrives(rng):
     m = ArrivalModel.bernoulli(uniform_nu(2), epsilon=0.999)
     x = m.sample_block(rng, 100_000)
