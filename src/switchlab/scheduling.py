@@ -40,12 +40,13 @@ __all__ = [
 
 # Largest n served by exact enumeration, which breaks ties uniformly.  Measured
 # on a 2-vCPU host (serial `simulator.run`, unit and checker(1, 2) costs,
-# Bernoulli arrivals, eps = 0.05, 40k slots, no SSC samples, process CPU):
-# exact enumeration reaches 9-13k slots/s at n = 7, where one kernel call (5040
-# permutations) takes 0.06-0.1 ms, and the Hungarian engine 32-42k at n = 8,
-# where one solve takes 10-12 us against 3 ms for one exact kernel call (40320
-# permutations).  Speed alone would lower this bound; it stays for the uniform
-# tie breaking.
+# Bernoulli arrivals, eps = 0.05, 40k slots, no SSC samples, process CPU,
+# median of 3): exact enumeration reaches 107-112k slots/s at n = 5 (the
+# generated slot loop), 43-44k at n = 6 and 14-15k at n = 7, where one kernel
+# call (5040 permutations) takes 0.06-0.09 ms, and the Hungarian engine 52-53k
+# at n = 8, where one solve takes 10-15 us against 2.7-3.0 ms for one exact
+# kernel call (40320 permutations).  Speed alone would lower this bound; it
+# stays for the uniform tie breaking.
 EXACT_MAX_N = 7
 
 

@@ -12,10 +12,11 @@ Arrivals of a slot are servable within the slot, which is exactly what makes
 ``run`` drives a long replication chunk by chunk.  A sequential recursion,
 one per matcher mode, does per slot only what the next slot needs: the
 schedule from Q(t), the arrivals, the service, and a record of Q(t+1) and
-the served queues.  Above n = 4 the schedule comes from the matcher kernels
-of ``scheduling``; at n <= 4 the whole slot loop is Python source generated
-for n (``_slot_kernel``), straight-line code over local variables that makes
-the kernels' choices and tie-break draws bit for bit.  ``_reduce_chunk``
+the served queues.  At n <= 5 the whole slot loop is Python source
+generated for n (``_slot_kernel``), straight-line code over local variables
+that makes the exact kernel's choices and tie-break draws bit for bit; at
+n = 6 and 7 the schedule comes from ``scheduling``'s numpy kernel and
+``break_tie``, and above that from its Hungarian solver.  ``_reduce_chunk``
 then turns each chunk of records into unused service, per-slot checks of
 the update, batch-means statistics and cone-projection samples with array
 operations, the same code for both engines, and passes the chunk's slot
@@ -35,7 +36,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .scheduling import Schedule, argmax_kernel, break_tie, matcher_mode, perm_table
-from .scheduling import _GATHER_MIN_N, _hungarian_perm, max_weight_schedule
+from .scheduling import _hungarian_perm, max_weight_schedule
 # Not called here; perfbench/spans.py traces the Hungarian solver at this name.
 from .scheduling import hungarian_schedule
 from .traffic import ArrivalModel
@@ -63,6 +64,13 @@ BATCH_COUNT = 30
 _CHUNK = 65536
 # Samples within this relative distance of kappa count as perp norm >= kappa.
 _KAPPA_RTOL = 1e-9
+# Largest n whose exact engine runs the generated slot loop (``_slot_kernel``);
+# above it ``_enumeration_slots`` (numpy kernel, ``break_tie``, ``_serve``)
+# runs.  Loop only, warm checker(1, 2) states at eps = 0.05, 2-vCPU host,
+# process CPU: at n = 5 the generated loop takes 8-10 us/slot against 13-18
+# for the generic one; at n = 6 (720 weights) 54-55 against 31-33, and its
+# source takes 0.2 s to compile.
+_GENERATED_MAX_N = 5
 
 
 def default_warmup(epsilon: float) -> int:
@@ -380,20 +388,25 @@ def _reduce_chunk(red: _Reduction, A: np.ndarray, Qn: np.ndarray, served: np.nda
 
 @lru_cache(maxsize=None)
 def _slot_kernel(n: int):
-    """The exact engine's slot loop below n = ``_GATHER_MIN_N``, generated for
-    n ports as straight-line code over local variables and compiled on first
-    use: ``slots(c, q, uniform, rows)`` runs one slot per arrival row of
+    """The exact engine's slot loop for n <= ``_GENERATED_MAX_N``, generated
+    for n ports as straight-line code over local variables and compiled on
+    first use: ``slots(c, q, uniform, rows)`` runs one slot per arrival row of
     ``rows`` (sequences of n^2 ints) from the flat queue list ``q`` under the
     flat costs ``c``, writes the queues back into ``q`` and returns Q(t+1) of
     every slot, flat, and the chosen positions in ``perm_table(n)``.
 
     The source is built from n and ``perm_table(n).pidx`` alone; the costs
     come in as an argument.  Each slot makes the choice of ``break_tie(
-    argmax_kernel(cost)(q), uniform)`` bit for bit: every weight is the sum of
-    c_k * q_k in the kernel's row order (c > 0 and q >= 0, so its first
-    0.0 + term is term), a unique maximiser draws nothing, and a tie draws
-    one uniform to index the ascending list of maximisers.  Arrivals join,
-    then each served queue sends one packet if it has one.
+    argmax_kernel(cost)(q), uniform)`` bit for bit.  Every weight is the sum
+    of the products m_k = c_k * q_k in the kernel's row order (c > 0 and
+    q >= 0, so its first 0.0 + term is term); from n = 4 the sums of rows
+    0..r, r <= n - 3, are formed once as locals ``s<columns>`` shared by every
+    schedule that starts with those columns, and each weight adds its last
+    two products to its prefix: the same additions in the same order.  One
+    pass over the weights keeps the maximiser, and from the first tie on the
+    ascending list of tied maximisers; a unique maximiser draws nothing, and
+    a tie draws one uniform to index that list.  Arrivals join, then each
+    served queue sends one packet if it has one.
     """
     pidx = perm_table(n).pidx
     perms = range(len(pidx))
@@ -423,20 +436,31 @@ def _slot_kernel(n: int):
     emit(1, f"for {names('a')} in rows:")
     # Each product c_k * q_k enters (n - 1)! weights; form it once.
     emit(2, *(f"m{k} = c{k} * q{k}" for k in range(n * n)))
-    emit(2, *(f"w{p} = " + " + ".join(f"m{k}" for k in pidx[p]) for p in perms))
     if n == 2:
+        emit(2, *(f"w{p} = " + " + ".join(f"m{k}" for k in pidx[p]) for p in perms))
         # A tie at n = 2 holds both schedules, so ties[i] is i.
         emit(2, "if w0 > w1:", "    p = 0", "elif w1 > w0:", "    p = 1",
              "else:", "    p = int(uniform() * 2)")
     else:
-        emit(2, "best = w0", "p = 0", "tie = False")
-        for p in perms[1:]:
-            emit(2, f"if w{p} > best:", f"    best = w{p}", f"    p = {p}", "    tie = False",
-                 f"elif w{p} == best:", "    tie = True")
-        emit(2, "if tie:", "    ties = []")
+        emit(2, "ties = None")
         for p in perms:
-            emit(3, f"if w{p} == best:", f"    ties.append({p})")
-        emit(3, "p = ties[int(uniform() * len(ties))]")
+            idxs = pidx[p]
+            # The sum of rows 0..r, r <= n - 3, is formed once, by the first
+            # schedule (in ascending order) that starts with those columns.
+            prefix = f"m{idxs[0]}"
+            for r in range(1, n - 2):
+                name = "s" + "".join(str(k % n) for k in idxs[:r + 1])
+                if p == 0 or pidx[p - 1][:r + 1] != idxs[:r + 1]:
+                    emit(2, f"{name} = {prefix} + m{idxs[r]}")
+                prefix = name
+            emit(2, f"w = {prefix} + " + " + ".join(f"m{k}" for k in idxs[max(1, n - 2):]))
+            if p == 0:
+                emit(2, "best = w", "p = 0")
+                continue
+            emit(2, "if w >= best:", "    if w > best:", "        best = w", f"        p = {p}",
+                 "        ties = None", "    elif ties:", f"        ties.append({p})",
+                 "    else:", f"        ties = [p, {p}]")
+        emit(2, "if ties:", "    p = ties[int(uniform() * len(ties))]")
     emit(2, *(f"q{k} += a{k}" for k in range(n * n)))
     serve(0, len(pidx), 2)
     emit(2, f"record_q(({names('q')}))", "record_p(p)")
@@ -447,10 +471,10 @@ def _slot_kernel(n: int):
 
 
 def _enumeration_slots(cost: CostMatrix, q: list[int], uniform):
-    """The exact engine's slot loop from n = ``_GATHER_MIN_N``: ``slots(rows)``
-    does what ``_slot_kernel(n)`` does, on the flat queue list ``q`` in
-    place, with ``argmax_kernel`` and ``break_tie`` choosing and ``step``'s
-    ``_serve`` updating the queues."""
+    """The exact engine's slot loop above n = ``_GENERATED_MAX_N`` (n = 6 and
+    7): ``slots(rows)`` does what ``_slot_kernel(n)`` does, on the flat queue
+    list ``q`` in place, with ``argmax_kernel`` and ``break_tie`` choosing and
+    ``step``'s ``_serve`` updating the queues."""
     pidx = perm_table(cost.n).pidx
     ties_of = argmax_kernel(cost)
 
@@ -472,15 +496,15 @@ def _exact_engine(cost: CostMatrix, tiebreak_rng: np.random.Generator):
     """The recursion of the exact engine: ``advance(A)`` runs the slots of the
     arrival rows ``A`` and returns ``A``, Q(t+1) and the served flat indices.
     The queues are Python ints, which beat array operations on so few, kept
-    in a list between chunks.  Below n = ``_GATHER_MIN_N`` the slots run in
-    the generated ``_slot_kernel(n)``, from there in ``_enumeration_slots``;
-    both make the choices of ``max_weight_schedule`` from the same tiebreak
-    stream."""
+    in a list between chunks.  At n <= ``_GENERATED_MAX_N`` (5) the slots run
+    in the generated ``_slot_kernel(n)``, at n = 6 and 7 in
+    ``_enumeration_slots``; both make the choices of ``max_weight_schedule``
+    from the same tiebreak stream."""
     n2 = cost.n * cost.n
     served_of = np.array(perm_table(cost.n).pidx, dtype=np.intp)
     uniform = _uniforms(tiebreak_rng).__next__
     queues = [0] * n2
-    if cost.n < _GATHER_MIN_N:
+    if cost.n <= _GENERATED_MAX_N:
         slots = partial(_slot_kernel(cost.n), cost._flat_tuple, queues, uniform)
     else:
         slots = _enumeration_slots(cost, queues, uniform)

@@ -4,14 +4,18 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
 
 from switchlab import cli, simulator
-from switchlab.scheduling import Schedule, enumerate_argmax, matcher_mode
+from switchlab.scheduling import (
+    Schedule, argmax_kernel, break_tie, enumerate_argmax, matcher_mode, perm_table,
+)
 from switchlab.simulator import (
     QueueState,
     RunConfig,
@@ -215,7 +219,8 @@ def test_run_ssc_samples_match_single_grid_projections(monkeypatch, n, stride):
     assert stats.drift_samples.tolist() == drift
 
 
-@pytest.mark.parametrize("n", [2, 5, 8], ids=["n2-generated", "n5-enumeration", "n8-hungarian"])
+@pytest.mark.parametrize("n", [2, 5, 6, 8],
+                         ids=["n2-generated", "n5-generated", "n6-enumeration", "n8-hungarian"])
 def test_recorded_queues_are_the_update_from_empty_queues(monkeypatch, n):
     # Each engine's own Q(t+1) reaches the records; summing A - S + U from
     # empty queues, across chunk edges, must give it back.
@@ -224,6 +229,53 @@ def test_recorded_queues_are_the_update_from_empty_queues(monkeypatch, n):
                                     warmup=300))
     assert rec.Q.dtype == np.int64 and rec.Q.shape == rec.A.shape
     assert np.array_equal(rec.Q, np.cumsum(rec.A - rec.S + rec.U, axis=0))
+
+
+def _counted_uniform(seed):
+    """A uniform() of the tiebreak law, and the list of the values it drew."""
+    rng, drawn = np.random.default_rng(seed), []
+
+    def uniform():
+        drawn.append(rng.random())
+        return drawn[-1]
+
+    return uniform, drawn
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_generated_slot_kernel_makes_the_argmax_kernel_choices(n):
+    # Costs 0.1/0.2/0.3 make ties hinge on the order of the additions.  Each
+    # slot of the generated loop must choose what break_tie(argmax_kernel)
+    # chooses from the same Q(t), and draw the same uniforms: over a warm
+    # trajectory from a random state, and one slot each from small random
+    # states and from empty queues, where every schedule ties.
+    cost, n2 = decimal_cost(n), n * n
+    rng = np.random.default_rng(60 + n)
+    rows = bernoulli(0.1, n).sample_block(rng, 2_000).tolist()
+    kernel = partial(simulator._slot_kernel(n), cost._flat_tuple)
+    uniform, drawn = _counted_uniform(n)
+    slots = []  # (Q(t), A(t), chosen position, Q(t+1))
+    q = rng.integers(0, 30, n2).tolist()
+    start = q.copy()
+    qs, ps = kernel(q, uniform, rows[:1_000])
+    after = [qs[k:k + n2] for k in range(0, len(qs), n2)]
+    slots += zip([start] + after[:-1], rows[:1_000], ps, after)
+    for a in rows[1_000:]:
+        for q in (rng.integers(0, 3, n2).tolist(), [0] * n2):
+            start = q.copy()
+            qs, ps = kernel(q, uniform, [a])
+            slots.append((start, a, ps[0], qs))
+
+    ref_uniform, ref_drawn = _counted_uniform(n)
+    ties_of, pidx, sizes = argmax_kernel(cost), perm_table(n).pidx, set()
+    for q, a, p, q_next in slots:
+        ties = ties_of(q)
+        sizes.add(len(ties))
+        assert p == break_tie(ties, ref_uniform)
+        simulator._serve(q, a, pidx[p])
+        assert q == q_next
+    assert drawn == ref_drawn
+    assert {1, len(pidx)} < sizes  # unique maximisers, full ties and partial ties
 
 
 def _assert_same_stats(got, want):
@@ -243,17 +295,19 @@ def _assert_same_stats(got, want):
         (ones_cost(), bernoulli(0.1)),
         (decimal_cost(4), bernoulli(0.1, 4)),
         (checker(5), bernoulli(0.1, 5)),
+        (checker(6), bernoulli(0.1, 6)),
         (CostMatrix(np.random.default_rng(8).uniform(0.5, 2.0, (8, 8))), bernoulli(0.2, 8)),
         (checker(3), ArrivalModel.uniform_integer(uniform_nu(3), 0.1, a_max=3)),
     ],
-    ids=["n2-exact", "n4-exact", "n5-exact", "n8-hungarian", "n3-uniform-integer"],
+    ids=["n2-exact", "n4-exact", "n5-generated", "n6-enumeration", "n8-hungarian",
+         "n3-uniform-integer"],
 )
 @pytest.mark.parametrize("rows", [1, 7])
 def test_run_chunk_edges_change_no_output(monkeypatch, cost, model, rows):
     # Each chunk is sampled, advanced and reduced on its own.  Chunks of 96
     # against chunks of 1 and 7 slots put the edges mid-batch (batches of
     # 50), at and across the warmup edge (250) and in different places of
-    # the arrival stream; no output may move.  At n <= 4 this also checks
+    # the arrival stream; no output may move.  At n <= 5 this also checks
     # that the generated slot kernel writes its local queues back into the
     # engine's state and continues the tiebreak stream across chunks.
     monkeypatch.setattr(simulator, "_CHUNK", 96 * cost.n**2)
@@ -369,21 +423,33 @@ def test_recorded_memory_does_not_grow_with_slots(monkeypatch, tmp_path, n, via)
     assert peaks[1] <= 1.5 * peaks[0]
 
 
+def _held_bytes(rec) -> int:
+    """sys.getsizeof of a slot record, its attribute dict and every array it
+    holds: each field's array and the arrays its views share memory with,
+    each counted once.  A view's size is its header, an owner's its header
+    and data, so the sum is the record's whole footprint at any chunk size."""
+    arrays = {}
+    for f in dataclasses.fields(rec):
+        x = getattr(rec, f.name)
+        while isinstance(x, np.ndarray):
+            arrays[id(x)] = x
+            x = x.base
+    return sys.getsizeof(rec) + sys.getsizeof(vars(rec)) + sum(map(sys.getsizeof, arrays.values()))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_recorded_memory_is_the_record_arrays(monkeypatch, n):
     # A caller that keeps every chunk it is handed holds the whole run's
     # records; run's own peak may grow with the slots only by about the bytes
-    # of those records, so it copies none of them and keeps none of its own.
-    # Chunks of 1024 entries keep the headers of each chunk's objects, which
-    # nbytes does not count, small beside its arrays.
-    monkeypatch.setattr(simulator, "_CHUNK", 1024)
+    # those records hold, so it copies none of them and keeps none of its own.
+    monkeypatch.setattr(simulator, "_CHUNK", 256)
     cfg = small_cfg(c=ones_cost(n), model=bernoulli(0.2, n), warmup=100)
 
     def go(measured):
         chunks = []
         stats = run(dataclasses.replace(cfg, measured=measured, record=chunks.append))
         assert sum(len(c.t) for c in chunks) == stats.warmup_slots + stats.measured_slots
-        return sum(getattr(c, f.name).nbytes for c in chunks for f in dataclasses.fields(c))
+        return sum(map(_held_bytes, chunks))
 
     sizes, peaks = _traced_peaks(go, (600, 2_400))
     assert peaks[1] - peaks[0] <= 1.5 * (sizes[1] - sizes[0])
@@ -433,6 +499,8 @@ def test_run_hungarian_mode_matches_dynamics():
         (checker(4), bernoulli(0.1, 4), "recorded"),
         (decimal_cost(4), bernoulli(0.1, 4), "recorded"),
         (checker(5), bernoulli(0.1, 5), "recorded"),
+        (decimal_cost(5), bernoulli(0.1, 5), "recorded"),
+        (checker(6), bernoulli(0.1, 6), "recorded"),
         (CostMatrix(np.random.default_rng(8).uniform(0.5, 2.0, (8, 8))), bernoulli(0.2, 8),
          "recorded"),
         (CostMatrix(np.random.default_rng(9).uniform(0.5, 2.0, (9, 9))),
@@ -442,7 +510,8 @@ def test_run_hungarian_mode_matches_dynamics():
         (checker(3), ArrivalModel.uniform_integer(uniform_nu(3), 0.1, a_max=3), None),
     ],
     ids=["n2-exact", "n2-unit-exact", "n4-checker-exact", "n4-decimal-exact",
-         "n5-checker-exact", "n8-hungarian",
+         "n5-checker-generated", "n5-decimal-generated", "n6-checker-enumeration",
+         "n8-hungarian",
          "n9-hungarian-poisson", "n9-hungarian-poisson-sampled",
          "n3-exact-uniform-integer-sampled"],
 )
@@ -517,9 +586,9 @@ def test_step_replay_matches_run_bit_for_bit(cost, model, arrivals):
 def test_exact_run_pinned(cost, model, measured, expected):
     # The n5 and n6 values were produced by the pure-Python enumeration loop,
     # the rest (and every sample hash) by the generic engine loop before the
-    # generated slot kernels; the numpy kernel (n >= 5) and the generated
-    # kernels (n <= 4) must reproduce them bit for bit, SSC samples included
-    # (sha256 of the perp, par and drift sample bytes).
+    # generated slot kernels; the generated kernels (n <= 5) and the generic
+    # loop with the numpy kernel (n = 6) must reproduce them bit for bit, SSC
+    # samples included (sha256 of the perp, par and drift sample bytes).
     cfg = RunConfig(c=cost, model=model, measured=measured, warmup=300,
                     seed=17, stream_key=(0, 1))
     stats = run(cfg)
