@@ -7,7 +7,9 @@ Q[i, perm[i]].  The solver depends on n alone (``matcher_mode``): up to
 ``simulator.run`` shares) and ties are broken uniformly at random
 (``break_tie``); above it a Hungarian solver with a randomizing pre-shuffle
 is used instead (an arbitrary maximizer, so tie breaking is only approximate
-there).
+there).  That rule has one implementation, ``_hungarian_chunk``, which draws
+the shuffles of m slots at once: ``hungarian_schedule`` runs it for one slot
+and ``simulator.run`` for a chunk of slots, from the same stream alike.
 """
 
 from __future__ import annotations
@@ -43,10 +45,11 @@ __all__ = [
 # Bernoulli arrivals, eps = 0.05, 40k slots, no SSC samples, process CPU,
 # median of 3): exact enumeration reaches 107-112k slots/s at n = 5 (the
 # generated slot loop), 43-44k at n = 6 and 14-15k at n = 7, where one kernel
-# call (5040 permutations) takes 0.06-0.09 ms, and the Hungarian engine 52-53k
-# at n = 8, where one solve takes 10-15 us against 2.7-3.0 ms for one exact
-# kernel call (40320 permutations).  Speed alone would lower this bound; it
-# stays for the uniform tie breaking.
+# call (5040 permutations) takes 0.06-0.09 ms, and the Hungarian engine (its
+# shuffles drawn a chunk at a time) 45k at n = 8 with checker costs and 59k
+# with unit costs, where one scipy solve takes 4-6 us against 2.7-3.0 ms for
+# one exact kernel call (40320 permutations).  Speed alone would lower this
+# bound; it stays for the uniform tie breaking.
 EXACT_MAX_N = 7
 
 
@@ -195,30 +198,43 @@ def enumerate_argmax(Q, cost: CostMatrix) -> list[Schedule]:
     return [schedules[p] for p in argmax_kernel(cost)(Q.ravel().tolist())]
 
 
-def _hungarian_perm(W: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """A maximum-weight permutation of the (n, n) weight matrix ``W = c * Q``
-    by the Hungarian method (Kuhn, 1955), as an array: row i is matched to
-    column perm[i].
+def _hungarian_chunk(cost: CostMatrix, m: int, rng: np.random.Generator
+                    ) -> Callable[[int, np.ndarray], np.ndarray]:
+    """The shuffled Hungarian rule for m slots: ``served(r, q)`` solves slot
+    r for the flat queue lengths ``q`` (length n^2, row-major) by the
+    Hungarian method (Kuhn, 1955) and returns the flat indices i * n +
+    perm[i] of a maximum-weight permutation, one per row, in shuffled row
+    order.  ``hungarian_schedule`` (m = 1) and ``simulator.run`` (m = the
+    slots of one chunk) share this one implementation.
 
-    Rows, then columns, are shuffled first, one ``rng.permutation(n)`` draw
-    each, so that under ties which maximizer comes back is not a fixed
-    artifact of index order.  ``hungarian_schedule`` and ``simulator.run``
-    share this one implementation.
+    Each slot shuffles rows, then columns, so that under ties which
+    maximizer comes back is not a fixed artifact of index order.  All 2m
+    shuffles are drawn here, by one ``rng.permuted`` call over 2m rows of
+    arange(n): the rows of slot r are shuffled by row 2r and its columns by
+    row 2r + 1, the draws of 2m successive ``rng.permutation(n)`` calls,
+    which leave the generator in the same state (tests/test_scheduling.py
+    pins this).  ``gather[r]`` holds slot r's shuffled weight matrix as
+    flat indices, so a slot takes c * q through it in one ``take``.
     """
-    n = len(W)
-    pr = rng.permutation(n)
-    pc = rng.permutation(n)
-    rows, cols = linear_sum_assignment(W[pr[:, None], pc], maximize=True)
-    perm = np.empty(n, dtype=np.intp)
-    perm[pr[rows]] = pc[cols]
-    return perm
+    n = cost.n
+    shuffles = rng.permuted(np.broadcast_to(np.arange(n), (2 * m, n)), axis=1)
+    row_start, pc = shuffles[0::2] * n, shuffles[1::2]
+    gather = row_start[:, :, None] + pc[:, None, :]
+    c_flat = cost.flat
+
+    def served(r: int, q: np.ndarray) -> np.ndarray:
+        cols = linear_sum_assignment((c_flat * q).take(gather[r]), maximize=True)[1]
+        return row_start[r] + pc[r].take(cols)
+
+    return served
 
 
 def hungarian_schedule(Q, cost: CostMatrix, rng: np.random.Generator) -> Schedule:
     """Maximum-weight assignment via the Hungarian method, with a random
-    row/column pre-shuffle (``_hungarian_perm``)."""
+    row/column pre-shuffle (``_hungarian_chunk`` for one slot)."""
     Q = _check_dims(Q, cost)
-    return Schedule(tuple(_hungarian_perm(cost.c * Q, rng).tolist()))
+    served = _hungarian_chunk(cost, 1, rng)(0, Q.ravel())
+    return Schedule(tuple((np.sort(served) % cost.n).tolist()))
 
 
 def max_weight_schedule(Q, cost: CostMatrix, rng: np.random.Generator) -> Schedule:

@@ -16,7 +16,8 @@ the served queues.  At n <= 5 the whole slot loop is Python source
 generated for n (``_slot_kernel``), straight-line code over local variables
 that makes the exact kernel's choices and tie-break draws bit for bit; at
 n = 6 and 7 the schedule comes from ``scheduling``'s numpy kernel and
-``break_tie``, and above that from its Hungarian solver.  ``_reduce_chunk``
+``break_tie``, and above that from its shuffled Hungarian rule, which draws
+a chunk's shuffles at once (``_hungarian_chunk``).  ``_reduce_chunk``
 then turns each chunk of records into unused service, per-slot checks of
 the update, batch-means statistics and cone-projection samples with array
 operations, the same code for both engines, and passes the chunk's slot
@@ -36,7 +37,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .scheduling import Schedule, argmax_kernel, break_tie, matcher_mode, perm_table
-from .scheduling import _hungarian_perm, max_weight_schedule
+from .scheduling import _hungarian_chunk, max_weight_schedule
 # Not called here; perfbench/spans.py traces the Hungarian solver at this name.
 from .scheduling import hungarian_schedule
 from .traffic import ArrivalModel
@@ -200,9 +201,9 @@ def _serve(q: list[int], a: list[int], idxs) -> list[int]:
 def _weighted_sum(c_flat: Sequence[float], q: list[int]) -> float:
     """sum_k c_flat[k] * q[k] over the flat queue list, added from 0.0 in
     row-major order: the weighted queue sum ``step`` records.  ``run`` gets
-    the same bits from ``np.add.accumulate`` along each recorded row, which
-    adds the terms one at a time in the same order (costs are > 0 and q >= 0,
-    so the loop's first 0.0 + term is term); a sum, dot or matmul may add in
+    the same bits by adding the columns of its chunk's products one at a
+    time, in the same order, to the first (costs are > 0 and q >= 0, so the
+    loop's first 0.0 + term is term); a sum, dot or matmul may add in
     another order."""
     w = 0.0
     for c, x in zip(c_flat, q):
@@ -364,7 +365,12 @@ def _reduce_chunk(red: _Reduction, A: np.ndarray, Qn: np.ndarray, served: np.nda
 
     off = min(m, max(0, red.warmup - t0))  # first measured row
     lo = 0 if red.record is not None else off
-    w = np.add.accumulate(cost.flat * Qn[lo:], axis=1)[:, -1]
+    # Column by column, so every row adds its terms in the order of
+    # ``_weighted_sum``; w owns its data, so a kept record holds no view of X.
+    X = cost.flat * Qn[lo:]
+    w = X[:, 0].copy()
+    for k in range(1, n2):
+        w += X[:, k]
     if off < m:
         red.w_acc.extend(w[off - lo:])
         red.u_acc.extend(u[off:].sum(axis=1))
@@ -517,24 +523,29 @@ def _exact_engine(cost: CostMatrix, tiebreak_rng: np.random.Generator):
 
 
 def _hungarian_engine(cost: CostMatrix, tiebreak_rng: np.random.Generator):
-    """The recursion of the Hungarian engine, as ``_exact_engine``; the queues
-    live in a flat int64 array and each slot is solved by ``_hungarian_perm``."""
+    """The recursion of the Hungarian engine, as ``_exact_engine``.  Each
+    chunk draws its slots' shuffles at once (``_hungarian_chunk``, the rule
+    ``max_weight_schedule`` applies one slot at a time), then solves slot by
+    slot.  The queues live in a flat int64 array, kept between chunks; each
+    slot adds its arrivals into its record row and serves there in place,
+    max(q + a - 1, 0) at the served queues, so that row is Q(t+1)."""
     n = cost.n
-    row_start = np.arange(n, dtype=np.intp) * n  # flat index of (i, 0)
-    c_flat = cost.flat
     queues = np.zeros(n * n, dtype=np.int64)
+    # Array operands, getitem and setitem: Python int operands (converted on
+    # every call) and q.take/q.put cost about 2 us more of an n = 16 slot.
+    one, zero = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
 
     def advance(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        m = len(A)
+        solve = _hungarian_chunk(cost, m, tiebreak_rng)
+        qs = np.empty((m, n * n), dtype=np.int64)
+        ss = np.empty((m, n), dtype=np.intp)
         q = queues
-        qs = np.empty((len(A), n * n), dtype=np.int64)
-        ss = np.empty((len(A), n), dtype=np.intp)
-        for r, a in enumerate(A):
-            idxs = row_start + _hungarian_perm((c_flat * q).reshape(n, n), tiebreak_rng)
-            q += a
-            s = q[idxs]
-            q[idxs] = s - (s > 0)
-            qs[r] = q
-            ss[r] = idxs
+        for r in range(m):
+            idxs = ss[r] = solve(r, q)
+            q = np.add(q, A[r], out=qs[r])
+            q[idxs] = np.maximum(q[idxs] - one, zero)
+        queues[:] = q
         return A, qs, ss
 
     return advance

@@ -148,6 +148,20 @@ def test_hungarian_matches_enumeration(rng):
         assert schedule_weight(s2, Q, c) == schedule_weight(best, Q, c)
 
 
+@pytest.mark.parametrize("n", [8, 9, 16, 64])
+@pytest.mark.parametrize("m", [1, 7, 256])
+def test_bulk_shuffles_are_successive_permutations(n, m):
+    # The Hungarian rule draws the 2m shuffles of m slots with one permuted
+    # call; run (a chunk at a time) and hungarian_schedule (one slot at a
+    # time) agree only while that call gives the rows of 2m permutation
+    # calls and leaves the generator where they leave it.  A numpy release
+    # that changes either fails here.
+    bulk, single = np.random.default_rng(n * m), np.random.default_rng(n * m)
+    rows = bulk.permuted(np.broadcast_to(np.arange(n), (2 * m, n)), axis=1)
+    assert np.array_equal(rows, [single.permutation(n) for _ in range(2 * m)])
+    assert bulk.random() == single.random()
+
+
 def test_auto_mode_switches_to_hungarian(rng):
     assert matcher_mode(7) == "exact-enumeration"
     assert matcher_mode(8) == "hungarian"

@@ -455,6 +455,19 @@ def test_recorded_memory_is_the_record_arrays(monkeypatch, n):
     assert peaks[1] - peaks[0] <= 1.5 * (sizes[1] - sizes[0])
 
 
+@pytest.mark.parametrize("n", [2, 8], ids=["exact", "hungarian"])
+def test_recorded_weighted_qsum_owns_its_data(monkeypatch, n):
+    # A view into the chunk's (m, n^2) weighted products would keep n^2
+    # times its own bytes alive in every record a caller keeps.
+    monkeypatch.setattr(simulator, "_CHUNK", 64 * n * n)
+    chunks = []
+    run(small_cfg(c=ones_cost(n), model=bernoulli(0.2, n), measured=300, warmup=100,
+                  record=chunks.append))
+    assert len(chunks) > 1
+    for rec in chunks:
+        assert rec.weighted_qsum.base is None
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_ssc_sample_memory_is_the_sample_arrays(monkeypatch, n):
     # SSC samples go straight into float64 arrays allocated once: sampling
@@ -507,12 +520,17 @@ def test_run_hungarian_mode_matches_dynamics():
          ArrivalModel.truncated_poisson(uniform_nu(9), 0.2, a_max=3), "recorded"),
         (CostMatrix(np.random.default_rng(9).uniform(0.5, 2.0, (9, 9))),
          ArrivalModel.truncated_poisson(uniform_nu(9), 0.2, a_max=2), None),
+        # The shape of the benchmark's n = 16 sweep: 256-slot chunks of bulk
+        # shuffles against step's one-slot draws.
+        (CostMatrix(np.random.default_rng(7).uniform(0.5, 2.0, (16, 16))),
+         ArrivalModel.truncated_poisson(uniform_nu(16), 0.05, a_max=4), None),
         (checker(3), ArrivalModel.uniform_integer(uniform_nu(3), 0.1, a_max=3), None),
     ],
     ids=["n2-exact", "n2-unit-exact", "n4-checker-exact", "n4-decimal-exact",
          "n5-checker-generated", "n5-decimal-generated", "n6-checker-enumeration",
          "n8-hungarian",
          "n9-hungarian-poisson", "n9-hungarian-poisson-sampled",
+         "n16-hungarian-poisson-sampled",
          "n3-exact-uniform-integer-sampled"],
 )
 def test_step_replay_matches_run_bit_for_bit(cost, model, arrivals):
