@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrs
 
 from .scheduling import perm_table
 from .simulator import RunStats
@@ -84,9 +84,9 @@ def zeta_projection(cost: CostMatrix) -> ZetaResult:
     ``project_space`` uses: a quadratic form of each pair indicator in the
     inverse Gram, all pairs in one solve."""
     n = cost.n
-    _, cho = cost._space_system
+    _, (factor, lower) = cost._space_system
     B = _pair_indicators(n)
-    zeta = (B * cho_solve(cho, B)).sum(axis=0).reshape(n, n) / cost.c
+    zeta = (B * dpotrs(factor, B, lower=lower)[0]).sum(axis=0).reshape(n, n) / cost.c
     return ZetaResult(zeta=zeta)
 
 

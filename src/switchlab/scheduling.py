@@ -167,8 +167,8 @@ def all_schedules(n: int) -> list[Schedule]:
 
 def _check_dims(Q: np.ndarray, cost: CostMatrix) -> np.ndarray:
     Q = np.asarray(Q)
-    if Q.shape != (cost.n, cost.n):
-        raise ValueError(f"queue matrix shape {Q.shape} != cost shape {(cost.n, cost.n)}")
+    if Q.shape != cost.c.shape:
+        raise ValueError(f"queue matrix shape {Q.shape} != cost shape {cost.c.shape}")
     return Q
 
 
@@ -241,7 +241,8 @@ def max_weight_schedule(Q, cost: CostMatrix, rng: np.random.Generator) -> Schedu
     """Pick a maximum-weight schedule with the solver ``matcher_mode(n)``
     names; exact enumeration samples uniformly from the full argmax set,
     drawing one ``rng.random()`` per tie (``break_tie``)."""
-    if matcher_mode(cost.n) == "exact-enumeration":
+    n = cost.n
+    if matcher_mode(n) == "exact-enumeration":
         ties = argmax_kernel(cost)(_check_dims(Q, cost).ravel().tolist())
-        return perm_table(cost.n).schedules[break_tie(ties, rng.random)]
+        return perm_table(n).schedules[break_tie(ties, rng.random)]
     return hungarian_schedule(Q, cost, rng)

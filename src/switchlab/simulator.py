@@ -63,6 +63,11 @@ TIEBREAK_STREAM = 1
 BATCH_COUNT = 30
 # Queue entries per chunk of slots that run samples, advances and reduces.
 _CHUNK = 65536
+# Tie-break uniforms the exact engine draws at a time; a run's first tie
+# draws a block.  A warm 30-slot n = 2 run took 2.1 ms with blocks of 65536
+# and 0.7 ms with 1024, whose uniforms cost no more each (17 against 21 ns,
+# drawn and listed).
+_TIE_BLOCK = 1024
 # Samples within this relative distance of kappa count as perp norm >= kappa.
 _KAPPA_RTOL = 1e-9
 # Largest n whose exact engine runs the generated slot loop (``_slot_kernel``);
@@ -201,21 +206,37 @@ def _serve(q: list[int], a: list[int], idxs) -> list[int]:
 def _weighted_sum(c_flat: Sequence[float], q: list[int]) -> float:
     """sum_k c_flat[k] * q[k] over the flat queue list, added from 0.0 in
     row-major order: the weighted queue sum ``step`` records.  ``run`` gets
-    the same bits by adding the columns of its chunk's products one at a
-    time, in the same order, to the first (costs are > 0 and q >= 0, so the
-    loop's first 0.0 + term is term); a sum, dot or matmul may add in
-    another order."""
+    the same bits from ``_weighted_sums``, which adds each row's products
+    one at a time, in the same order, from the first (costs are > 0 and
+    q >= 0, so the loop's first 0.0 + term is term); a sum, dot or matmul
+    may add in another order."""
     w = 0.0
     for c, x in zip(c_flat, q):
         w += c * x
     return w
 
 
+def _weighted_sums(X: np.ndarray) -> np.ndarray:
+    """The row sums of the (m, n^2) products X, each added in row-major
+    order from its first term, the bits of ``_weighted_sum``, in an array
+    that owns its data.  Chosen by shape, for equal bits: while the chunk
+    has at least 2 n^2 rows, the columns are added one numpy call each;
+    with fewer rows, n^2 calls on short columns cost more than one
+    ``np.add.accumulate`` along the rows (2-vCPU host, full chunks: at
+    n = 12, 455 rows, 0.27 against 0.43 us per row; at n = 32, 64 rows,
+    7.7 against 3.0)."""
+    if len(X) < 2 * X.shape[1]:
+        return np.add.accumulate(X, axis=1)[:, -1].copy()
+    w = X[:, 0].copy()
+    for k in range(1, X.shape[1]):
+        w += X[:, k]
+    return w
+
+
 def _indicator(idxs, n: int) -> np.ndarray:
-    """(n, n) 0/1 matrix with ones at the flat indices ``idxs``."""
-    m = np.zeros(n * n, dtype=np.int64)
-    m[list(idxs)] = 1
-    return m.reshape(n, n)
+    """(n, n) 0/1 matrix with ones at the flat indices ``idxs``, which are
+    distinct."""
+    return np.bincount(idxs, minlength=n * n).reshape(n, n)
 
 
 def _wnorms(V: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -238,10 +259,11 @@ def _project_pairs(Q: np.ndarray, Qn: np.ndarray, cost: CostMatrix, out: np.ndar
 
 
 def _uniforms(rng: np.random.Generator):
-    """The tiebreak stream in blocks: rng.random(N) yields the same values as
-    N calls to rng.random(), the draws ``max_weight_schedule`` takes."""
+    """The tiebreak stream in blocks of ``_TIE_BLOCK``: rng.random(N) yields
+    the same values as N calls to rng.random(), the draws
+    ``max_weight_schedule`` takes."""
     while True:
-        yield from rng.random(_CHUNK).tolist()
+        yield from rng.random(_TIE_BLOCK).tolist()
 
 
 def step(
@@ -365,12 +387,7 @@ def _reduce_chunk(red: _Reduction, A: np.ndarray, Qn: np.ndarray, served: np.nda
 
     off = min(m, max(0, red.warmup - t0))  # first measured row
     lo = 0 if red.record is not None else off
-    # Column by column, so every row adds its terms in the order of
-    # ``_weighted_sum``; w owns its data, so a kept record holds no view of X.
-    X = cost.flat * Qn[lo:]
-    w = X[:, 0].copy()
-    for k in range(1, n2):
-        w += X[:, k]
+    w = _weighted_sums(cost.flat * Qn[lo:])
     if off < m:
         red.w_acc.extend(w[off - lo:])
         red.u_acc.extend(u[off:].sum(axis=1))

@@ -153,7 +153,8 @@ class ArrivalModel:
             if nu.max() > 1.0 + FACE_TOL:
                 raise ValueError("bernoulli mean above 1")
         elif self.kind == "uniform-integer":
-            if 2.0 * nu.max() / self.a_max > 1.0:
+            # The hit probability 2 nu / a_max, with the same slack.
+            if 2.0 * nu.max() / self.a_max > 1.0 + FACE_TOL:
                 raise ValueError("mean not reachable: need a_max >= 2 * nu")
         elif nu.max() >= self.a_max:
             raise ValueError("need nu < a_max for the truncated law")
@@ -202,13 +203,15 @@ class ArrivalModel:
         """(count, n*n) int64 array of independent slots, by inverse transform
         (Devroye 1986, ch. II): one uniform u per queue-slot, A = #{k : u <
         P(A >= k)}.  So the arrivals depend only on how many slots have been
-        drawn, not on how they are split between calls."""
+        drawn, not on how they are split between calls.  The count, at most
+        a_max, is kept in the narrowest unsigned type that holds a_max and
+        widened to int64 once."""
         S = self._survival
         u = rng.random((count, len(S)))
-        A = np.zeros(u.shape, dtype=np.int64)
+        A = np.zeros(u.shape, dtype=np.min_scalar_type(self.a_max))
         for tail in S.T:
             A += u < tail
-        return A
+        return A.astype(np.int64)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """One slot of arrivals as an (n, n) integer matrix."""

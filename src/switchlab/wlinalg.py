@@ -22,13 +22,11 @@ are built on:
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, cho_factor, cho_solve, lu_factor, lu_solve
-from scipy.linalg.lapack import dposv
+from scipy.linalg.lapack import dgetrf, dgetrs, dposv, dpotrf, dpotrs
 from scipy.optimize import nnls
 
 __all__ = [
@@ -100,11 +98,16 @@ class CostMatrix:
     def _generators(self) -> np.ndarray:
         """The (n^2, 2n) matrix of the n row then n column generators of the
         port-sum subspace, read-only: both projection systems share it.  Its
-        columns have exactly one linear dependency: both halves sum to 1/c."""
+        columns have exactly one linear dependency: both halves sum to 1/c.
+        It is the transpose of a C-ordered (2n, n^2) array: the BLAS path of
+        the Gram products, so their last bits, depend on that layout."""
         n = self.n
-        gens = [row_generator(self, i).ravel() for i in range(n)]
-        gens += [col_generator(self, j).ravel() for j in range(n)]
-        gen = np.array(gens).T
+        k = np.arange(n)
+        cinv = 1.0 / self.c
+        gens = np.zeros((2 * n, n, n))
+        gens[k, k] = cinv  # row generator i: 1/c_ij across row i
+        gens[n + k, :, k] = cinv.T  # column generator j: 1/c_ij down column j
+        gen = gens.reshape(2 * n, n * n).T
         gen.flags.writeable = False
         return gen
 
@@ -112,9 +115,13 @@ class CostMatrix:
     def _space_system(self) -> tuple[np.ndarray, tuple]:
         """Constants of ``project_space``: the 2n-1 independent generators Z
         (all but the last column generator) and the Cholesky factor of their
-        weighted Gram matrix Z^T diag(c) Z."""
+        weighted Gram matrix Z^T diag(c) Z as ``cho_factor``'s (c, lower)
+        pair, by LAPACK's dpotrf as ``cho_factor`` calls it."""
         Z = self._generators[:, : 2 * self.n - 1]
-        return Z, cho_factor(Z.T @ (self.flat[:, None] * Z))
+        factor, info = dpotrf(Z.T @ (self.flat[:, None] * Z), clean=False)
+        if info:
+            raise np.linalg.LinAlgError("port-sum Gram matrix is not positive definite")
+        return Z, (factor, False)
 
     @cached_property
     def _cone_system(self) -> tuple[np.ndarray, ...]:
@@ -135,23 +142,35 @@ class CostMatrix:
         generators, so its generators are independent.  Each entry holds, per
         face, the membership mask (2n,), the solve matrix Gram_S^-1 A_S^T
         that maps b to the coefficients (2n, n^2), and Gram_S^-1 (2n, 2n),
-        both zero off the face."""
+        both zero off the face.  A size is built in one pass: the faces' Gram
+        blocks and generator rows are gathered at once, each face takes one
+        dpotrf and two dpotrs calls, and the results are scattered at once."""
         _, A, gram, _, _ = self._cone_system
         m = 2 * self.n
         groups = []
         for size in range(m - 1, -1, -1):
-            faces = list(itertools.combinations(range(m), size))
-            member = np.zeros((len(faces), m), dtype=bool)
-            solve = np.zeros((len(faces), m, A.shape[0]))
-            inv = np.zeros((len(faces), m, m))
-            for f, face in enumerate(faces):
-                if not face:
-                    continue
-                face = list(face)
-                cho = cho_factor(gram[np.ix_(face, face)])
-                member[f, face] = True
-                solve[f, face] = cho_solve(cho, A[:, face].T)
-                inv[f][np.ix_(face, face)] = cho_solve(cho, np.eye(size))
+            # (count, size) face indices, (1, 0) for the empty face.
+            faces = np.array(list(itertools.combinations(range(m), size)), dtype=np.intp)
+            count = len(faces)
+            member = np.zeros((count, m), dtype=bool)
+            solve = np.zeros((count, m, A.shape[0]))
+            inv = np.zeros((count, m, m))
+            if size:
+                # Each face's Gram block and A_S^T, both replaced in place
+                # by their solves: Gram_S^-1 and Gram_S^-1 A_S^T.
+                blocks = gram[faces[:, :, None], faces[:, None, :]]
+                rows = A.T[faces]
+                eye = np.eye(size)
+                for f in range(count):
+                    factor, info = dpotrf(blocks[f])
+                    if info:
+                        raise np.linalg.LinAlgError("face Gram matrix is not positive definite")
+                    rows[f], _ = dpotrs(factor, rows[f])
+                    blocks[f], _ = dpotrs(factor, eye)
+                at = np.arange(count)[:, None]
+                member[at, faces] = True
+                solve[at, faces] = rows
+                inv[at[:, :, None], faces[:, :, None], faces[:, None, :]] = blocks
             groups.append((member, solve, inv))
         return groups
 
@@ -224,7 +243,8 @@ def solve_dense(A, b) -> np.ndarray:
     """Solve a small dense square system by LU with partial pivoting.
 
     Raises SingularMatrixError when any pivot falls below
-    PIVOT_RTOL * max|A|.
+    PIVOT_RTOL * max|A|, and ValueError on non-finite input.  LAPACK's
+    dgetrf and dgetrs are called as ``lu_factor`` and ``lu_solve`` call them.
     """
     A = np.array(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -232,26 +252,29 @@ def solve_dense(A, b) -> np.ndarray:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
     if b.shape[0] != A.shape[0]:
         raise ValueError("right-hand side length does not match matrix")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
     amax = float(np.abs(A).max())
     if amax == 0.0:
         raise SingularMatrixError("zero matrix")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(A)
+    lu, piv, _ = dgetrf(A)
     if float(np.abs(np.diag(lu)).min()) < PIVOT_RTOL * amax:
         raise SingularMatrixError("matrix is singular to working tolerance")
-    return lu_solve((lu, piv), b)
+    return dgetrs(lu, piv, b)[0]
 
 
 def project_space(x, cost: CostMatrix):
     """Split x into its port-sum component and the orthogonal remainder.
 
     Returns (parallel, perp) with parallel + perp == x and
-    cdot(parallel, perp) == 0 up to roundoff.
+    cdot(parallel, perp) == 0 up to roundoff.  Raises ValueError on
+    non-finite x.
     """
     g = _as_grid(x, cost.n)
-    Z, cho = cost._space_system
-    u = cho_solve(cho, Z.T @ (cost.flat * g.ravel()))
+    if not np.isfinite(g).all():
+        raise ValueError("array must not contain infs or NaNs")
+    Z, (factor, lower) = cost._space_system
+    u, _ = dpotrs(factor, Z.T @ (cost.flat * g.ravel()), lower=lower)
     parallel = (Z @ u).reshape(cost.n, cost.n)
     return parallel, g - parallel
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from switchlab import cli, simulator
+from switchlab import cli, simulator, traffic
 from switchlab.cli import ExperimentConfig, load_config, run_sweep
 from switchlab.scheduling import Schedule
 from switchlab.traffic import ArrivalModel
@@ -575,6 +575,34 @@ def test_validate_suite_passes_and_detects_corruption():
     failed = {r.name for r in bad if not r.ok}
     assert "matcher agreement with enumeration" in failed
     assert "simulator slot invariants" in failed
+
+
+@pytest.mark.parametrize("fault", ["survival-off-by-one", "draw-above-support"])
+def test_arrival_moments_check_detects_a_faulty_law(monkeypatch, fault):
+    # The check keeps per-queue value counts only; a table of P(A > k)
+    # instead of P(A >= k) must still miss the moments, and one draw of
+    # a_max + 1 per chunk must still break the support bound.
+    if fault == "survival-off-by-one":
+        law = traffic._law
+
+        def shifted(kind, mean, a_max):
+            S, second = law(kind, mean, a_max)
+            return np.concatenate([S[:, 1:], np.zeros((len(S), 1))], axis=1), second
+
+        monkeypatch.setattr(traffic, "_law", shifted)
+        expected = "empirical mean off"
+    else:
+        sample_block = ArrivalModel.sample_block
+
+        def above(self, rng, count):
+            A = sample_block(self, rng, count)
+            A[-1, -1] = self.a_max + 1
+            return A
+
+        monkeypatch.setattr(ArrivalModel, "sample_block", above)
+        expected = "support bound violated"
+    ok, detail = validate_mod._check_traffic_moments(np.random.default_rng(1))
+    assert not ok and detail == f"bernoulli: {expected}"
 
 
 def test_cmd_validate_exit_code(tmp_path, capsys):

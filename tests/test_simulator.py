@@ -321,6 +321,47 @@ def test_run_chunk_edges_change_no_output(monkeypatch, cost, model, rows):
     _assert_same_stats(got_rec, want_rec)
 
 
+@pytest.mark.parametrize("cost", [ones_cost(), checker(6)], ids=["n2-generated", "n6-enumeration"])
+def test_tie_block_size_changes_no_output(monkeypatch, cost):
+    # The exact engine takes its tie-break uniforms in blocks of _TIE_BLOCK;
+    # rng.random(N) is N single draws, so any block size gives the same run.
+    uniforms, drawn = simulator._uniforms, []
+
+    def counted(rng):
+        for u in uniforms(rng):
+            drawn.append(u)
+            yield u
+
+    monkeypatch.setattr(simulator, "_uniforms", counted)
+    cfg = RunConfig(c=cost, model=bernoulli(0.5, cost.n), measured=3_000, warmup=100,
+                    ssc_stride=10, seed=4)
+    runs = []
+    for block in (1, 7, 65536):
+        monkeypatch.setattr(simulator, "_TIE_BLOCK", block)
+        drawn.clear()
+        runs.append(recorded_run(cfg))
+        assert len(drawn) > 500  # a tie-heavy run
+    for stats, rec in runs[1:]:
+        _assert_same_stats(stats, runs[0][0])
+        _assert_same_stats(rec, runs[0][1])
+
+
+@pytest.mark.parametrize("n", [2, 16, 32])
+def test_weighted_sums_are_the_loop_on_both_branches(n):
+    # From 2 n^2 rows on _weighted_sums adds the columns one at a time; below
+    # it accumulates along each row.  Both are _weighted_sum's row-order loop
+    # bit for bit, and own their data.
+    rng = np.random.default_rng(n)
+    c = rng.uniform(0.1, 10.0, n * n)
+    Q = rng.integers(0, 10**6, (2 * n * n, n * n))
+    want = [simulator._weighted_sum(c.tolist(), q) for q in Q.tolist()]
+    X = c * Q
+    for rows in (len(X), len(X) - 1, 1):  # columns, accumulate, accumulate
+        got = simulator._weighted_sums(X[:rows])
+        assert got.base is None
+        assert got.tolist() == want[:rows]
+
+
 def _hand_chunk():
     # n = 2 from empty queues; flat indices 0..3, schedules (0, 3) and (1, 2).
     A = np.array([[1, 0, 0, 1], [0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 1, 0]])

@@ -165,6 +165,33 @@ def test_bernoulli_accepts_a_face_point_rounded_above_one():
     _assert_table_matches_moments(ArrivalModel.bernoulli(nu, 0.5))
 
 
+def test_uniform_integer_accepts_a_face_point_rounded_above_one():
+    # At a_max = 2 the hit probability 2 nu / a_max is nu itself, so the
+    # face point one ulp above 1 needs face_check's slack here too.
+    nu = np.array([[np.nextafter(1.0, 2.0)]])
+    assert traffic.face_check(nu)
+    _assert_table_matches_moments(ArrivalModel(kind="uniform-integer", nu=nu, epsilon=0.5, a_max=2))
+    with pytest.raises(ValueError, match="not reachable"):
+        ArrivalModel(kind="uniform-integer", nu=[[0.6, 0.4], [0.4, 0.6]], epsilon=0.5, a_max=1)
+
+
+@pytest.mark.parametrize("a_max", [1, 2, 6, 127, 128, 300])
+def test_sample_block_is_the_int64_count(a_max):
+    # sample_block counts u < P(A >= k) in the narrowest type that holds
+    # a_max; the counts must equal an int64 count of the same uniforms, also
+    # where they pass the int8 and uint8 ranges.
+    kind = "bernoulli" if a_max == 1 else "uniform-integer"
+    model = ArrivalModel(kind=kind, nu=uniform_nu(2), epsilon=0.1, a_max=a_max)
+    got = model.sample_block(np.random.default_rng(3), 50_000)
+    u = np.random.default_rng(3).random((50_000, 4))
+    want = np.zeros(u.shape, dtype=np.int64)
+    for tail in model._survival.T:
+        want += u < tail
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert got.max() >= min(a_max, 256)
+
+
 def test_high_epsilon_rarely_arrives(rng):
     m = ArrivalModel.bernoulli(uniform_nu(2), epsilon=0.999)
     x = m.sample_block(rng, 100_000)

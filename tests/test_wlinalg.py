@@ -4,10 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 
 from switchlab import wlinalg
-from switchlab.analytics import zeta_projection
+from switchlab.analytics import _pair_indicators, zeta_projection
 from switchlab.wlinalg import (
     CostMatrix,
     SingularMatrixError,
@@ -182,6 +182,74 @@ def test_projection_basis_invariants(rng):
                 for k in range(n):
                     assert abs(cdot(b, row_generator(c, k), c)) < 1e-12
                     assert abs(cdot(b, col_generator(c, k), c)) < 1e-12
+
+
+def test_lapack_calls_give_the_bits_of_the_scipy_wrappers(rng):
+    # The cached systems, both projections' solves and solve_dense call
+    # LAPACK directly; each equals, bit for bit, the same construction
+    # through cho_factor/cho_solve and lu_factor/lu_solve.
+    for k in range(60):
+        n = 2 + k % 5
+        c = random_cost(rng, n) if k % 2 else CostMatrix(rng.integers(1, 4, (n, n)))
+        gens = [row_generator(c, i).ravel() for i in range(n)]
+        gen = np.array(gens + [col_generator(c, j).ravel() for j in range(n)]).T
+        assert np.array_equal(c._generators, gen)
+        assert c._generators.T.flags.c_contiguous
+        Z, (factor, lower) = c._space_system
+        gram = Z.T @ (c.flat[:, None] * Z)
+        cho = cho_factor(gram)
+        assert lower == cho[1] and np.array_equal(factor, cho[0])
+        x = rng.normal(size=(n, n)) * 5
+        par = (Z @ cho_solve(cho, Z.T @ (c.flat * x.ravel()))).reshape(n, n)
+        assert np.array_equal(project_space(x, c)[0], par)
+        B = _pair_indicators(n)
+        zeta = (B * cho_solve(cho, B)).sum(axis=0).reshape(n, n) / c.c
+        assert np.array_equal(zeta_projection(c).zeta, zeta)
+        A = rng.normal(size=(n + 3, n + 3)) + np.eye(n + 3)
+        b = rng.normal(size=(n + 3, 2))
+        assert np.array_equal(solve_dense(A, b), lu_solve(lu_factor(A), b))
+        assert np.array_equal(solve_dense(A, b[:, 0]), lu_solve(lu_factor(A), b[:, 0]))
+
+
+def test_face_systems_are_the_per_face_scipy_solves(rng):
+    for k in range(50):
+        n = 2 + k % 2
+        c = random_cost(rng, n) if k % 3 else CostMatrix(rng.integers(1, 4, (n, n)))
+        _, A, gram, _, _ = c._cone_system
+        m = 2 * n
+        groups = c._face_system
+        assert len(groups) == m
+        for size, (member, solve, inv) in zip(range(m - 1, -1, -1), groups):
+            faces = list(itertools.combinations(range(m), size))
+            assert member.shape == (len(faces), m) and solve.shape == (len(faces), m, n * n)
+            for f, face in enumerate(faces):
+                face = list(face)
+                want_member = np.zeros(m, dtype=bool)
+                want_solve = np.zeros((m, n * n))
+                want_inv = np.zeros((m, m))
+                if face:
+                    cho = cho_factor(gram[np.ix_(face, face)])
+                    want_member[face] = True
+                    want_solve[face] = cho_solve(cho, A[:, face].T)
+                    want_inv[np.ix_(face, face)] = cho_solve(cho, np.eye(size))
+                assert np.array_equal(member[f], want_member)
+                assert np.array_equal(solve[f], want_solve)
+                assert np.array_equal(inv[f], want_inv)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_is_refused(bad):
+    c = ones_cost(2)
+    x = np.ones((2, 2))
+    x[0, 1] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        project_space(x, c)
+    A = np.eye(3)
+    A[1, 2] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_dense(A, np.ones(3))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_dense(np.eye(3), [1.0, bad, 1.0])
 
 
 def test_cached_systems_match_fresh_cost(rng):
