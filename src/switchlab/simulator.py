@@ -11,8 +11,11 @@ Arrivals of a slot are servable within the slot, which is exactly what makes
 
 ``run`` drives a long replication chunk by chunk.  A sequential recursion,
 one per matcher mode, does per slot only what the next slot needs: the
-schedule from Q(t), the arrivals, the service, and a record of Q(t+1) and
-the served queues.  At n <= 5 the whole slot loop is Python source
+schedule from Q(t), the arrivals, the service, and a record.  The Hungarian
+engine records Q(t+1) and the served queues; the exact engine records only
+each slot's permutation position and its rare unused-service events, and
+rebuilds the chunk's Q(t+1) rows from them with one cumsum, its loop's own
+end state in the last row.  At n <= 5 the whole slot loop is Python source
 generated for n (``_slot_kernel``), straight-line code over local variables
 that makes the exact kernel's choices and tie-break draws bit for bit; at
 n = 6 and 7 the schedule comes from ``scheduling``'s numpy kernel and
@@ -30,6 +33,7 @@ queues with ``_serve``, which also lists the unused service, so replaying a
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -362,7 +366,12 @@ def _reduce_chunk(red: _Reduction, A: np.ndarray, Qn: np.ndarray, served: np.nda
     ``served``, (m, n).  Q(t) is the row of ``Qn`` before (``red.q`` for the
     first).  Unused service is read off the trajectory, U(t) = [(Q(t) +
     A(t))[served] == 0], and every slot is checked against Q(t+1) = Q(t) +
-    A(t) - S(t) + U(t) >= 0.  The chunk's ``SlotRecord`` goes to ``red.record``;
+    A(t) - S(t) + U(t) >= 0: Q(t) + A(t) - Q(t+1) must be one at each served
+    queue that sent a packet and zero elsewhere, which is tested at the
+    served entries and by its count of nonzeros.  The exact engine's rows are
+    rebuilt from its recorded decisions, bar the last, which is its loop's
+    own end state, so there the test checks each unused-service event and
+    that end state.  The chunk's ``SlotRecord`` goes to ``red.record``;
     ``red`` keeps no view of the arguments."""
     cost = red.cost
     n = cost.n
@@ -371,18 +380,17 @@ def _reduce_chunk(red: _Reduction, A: np.ndarray, Qn: np.ndarray, served: np.nda
     t0 = red.t
     Q = np.concatenate((red.q[None], Qn[:-1]))
     pre = Q + A
-    rows = np.arange(m)[:, None]
-    s = np.take_along_axis(pre, served, axis=1)
+    flat = served + np.arange(0, m * n2, n2)[:, None]  # into the (m, n^2) rows
+    s = pre.reshape(-1).take(flat)
     u = s == 0
-    # Q(t) + A(t) - Q(t+1) must be S(t) - U(t): one at each served queue
-    # that sent a packet, zero everywhere else.
-    d = pre - Qn
-    d[rows, served] -= s > 0
-    if d.any() or Qn.min() < 0:
+    sent = s > 0
+    d = np.subtract(pre, Qn, out=pre)
+    if (not np.array_equal(d.reshape(-1).take(flat), sent)
+            or np.count_nonzero(d) != np.count_nonzero(sent) or Qn.min() < 0):
         red.conservation_ok = False
     if u.any():
         k = served[u]
-        q_unused = Qn[np.nonzero(u)[0], k]
+        q_unused = Qn.reshape(-1).take(flat[u])
         red.qu_violation = max(red.qu_violation, float(np.abs(cost.flat[k] * q_unused).max()))
 
     off = min(m, max(0, red.warmup - t0))  # first measured row
@@ -390,7 +398,9 @@ def _reduce_chunk(red: _Reduction, A: np.ndarray, Qn: np.ndarray, served: np.nda
     w = _weighted_sums(cost.flat * Qn[lo:])
     if off < m:
         red.w_acc.extend(w[off - lo:])
-        red.u_acc.extend(u[off:].sum(axis=1))
+        # Unused service per slot: a bool @ int64 matmul gives u.sum(axis=1)
+        # at about a quarter of its cost (3.5 against 14 ns/slot at n = 2).
+        red.u_acc.extend(u[off:] @ np.ones(n, dtype=np.int64))
         red.served += np.bincount(served[off:].ravel(), minlength=n2)
         red.unused += np.bincount(served[off:][u[off:]], minlength=n2)
         # SSC samples are taken at every ssc_stride-th measured slot.
@@ -402,7 +412,8 @@ def _reduce_chunk(red: _Reduction, A: np.ndarray, Qn: np.ndarray, served: np.nda
 
     if red.record is not None:
         S, U = np.zeros((2, m, n2), dtype=np.int64)
-        S[rows, served], U[rows, served] = 1, u
+        np.put(S, flat, 1)
+        np.put(U, flat, u)
         grids = (x.reshape(m, n, n) for x in (A, S, U, Qn))
         red.record(SlotRecord(np.arange(t0, t0 + m, dtype=np.int64), *grids, w))
     red.q = Qn[-1].copy()
@@ -415,8 +426,11 @@ def _slot_kernel(n: int):
     for n ports as straight-line code over local variables and compiled on
     first use: ``slots(c, q, uniform, rows)`` runs one slot per arrival row of
     ``rows`` (sequences of n^2 ints) from the flat queue list ``q`` under the
-    flat costs ``c``, writes the queues back into ``q`` and returns Q(t+1) of
-    every slot, flat, and the chosen positions in ``perm_table(n)``.
+    flat costs ``c``, writes the queues back into ``q`` and returns what the
+    slots decided: a ``bytearray`` of the chosen positions in
+    ``perm_table(n)``, one per slot, and the list of unused-service events,
+    each the flat index ``slot * n^2 + k`` of a served queue k that had no
+    packet.
 
     The source is built from n and ``perm_table(n).pidx`` alone; the costs
     come in as an argument.  Each slot makes the choice of ``break_tie(
@@ -429,7 +443,7 @@ def _slot_kernel(n: int):
     pass over the weights keeps the maximiser, and from the first tie on the
     ascending list of tied maximisers; a unique maximiser draws nothing, and
     a tie draws one uniform to index that list.  Arrivals join, then each
-    served queue sends one packet if it has one.
+    served queue sends one packet if it has one, or records its event.
     """
     pidx = perm_table(n).pidx
     perms = range(len(pidx))
@@ -443,9 +457,11 @@ def _slot_kernel(n: int):
 
     def serve(lo: int, hi: int, depth: int):
         # A balanced branch on p down to one permutation's served queues.
+        # len(ps) is the slot's index until its position is appended.
         if hi - lo == 1:
             for k in pidx[lo]:
-                emit(depth, f"if q{k}:", f"    q{k} -= 1")
+                emit(depth, f"if q{k}:", f"    q{k} -= 1", "else:",
+                     f"    record_u(len(ps) * {n * n} + {k})")
             return
         mid = (lo + hi) // 2
         emit(depth, f"if p < {mid}:")
@@ -455,7 +471,7 @@ def _slot_kernel(n: int):
 
     emit(0, "def slots(c, q, uniform, rows):")
     emit(1, f"{names('c')} = c", f"{names('q')} = q",
-         "qs = []", "ps = []", "record_q = qs.extend", "record_p = ps.append")
+         "ps = bytearray()", "us = []", "record_p = ps.append", "record_u = us.append")
     emit(1, f"for {names('a')} in rows:")
     # Each product c_k * q_k enters (n - 1)! weights; form it once.
     emit(2, *(f"m{k} = c{k} * q{k}" for k in range(n * n)))
@@ -486,8 +502,8 @@ def _slot_kernel(n: int):
         emit(2, "if ties:", "    p = ties[int(uniform() * len(ties))]")
     emit(2, *(f"q{k} += a{k}" for k in range(n * n)))
     serve(0, len(pidx), 2)
-    emit(2, f"record_q(({names('q')}))", "record_p(p)")
-    emit(1, f"q[:] = {names('q')}", "return qs, ps")
+    emit(2, "record_p(p)")
+    emit(1, f"q[:] = {names('q')}", "return ps, us")
     namespace: dict = {}
     exec(compile("\n".join(lines) + "\n", f"<slot kernel n={n}>", "exec"), namespace)
     return namespace["slots"]
@@ -497,20 +513,24 @@ def _enumeration_slots(cost: CostMatrix, q: list[int], uniform):
     """The exact engine's slot loop above n = ``_GENERATED_MAX_N`` (n = 6 and
     7): ``slots(rows)`` does what ``_slot_kernel(n)`` does, on the flat queue
     list ``q`` in place, with ``argmax_kernel`` and ``break_tie`` choosing and
-    ``step``'s ``_serve`` updating the queues."""
+    ``step``'s ``_serve`` updating the queues and listing the unused service.
+    The positions go to an ``array('H')``, since n! exceeds 255."""
+    n2 = cost.n * cost.n
     pidx = perm_table(cost.n).pidx
     ties_of = argmax_kernel(cost)
 
-    def slots(rows) -> tuple[list[int], list[int]]:
-        qs: list[int] = []
-        ps: list[int] = []
-        record_q, record_p = qs.extend, ps.append
+    def slots(rows) -> tuple[array, list[int]]:
+        ps = array("H")
+        us: list[int] = []
+        record_p = ps.append
         for a in rows:
             p = break_tie(ties_of(q), uniform)
-            _serve(q, a, pidx[p])
-            record_q(q)
+            unused = _serve(q, a, pidx[p])
+            if unused:
+                base = len(ps) * n2
+                us.extend(base + k for k in unused)
             record_p(p)
-        return qs, ps
+        return ps, us
 
     return slots
 
@@ -522,9 +542,17 @@ def _exact_engine(cost: CostMatrix, tiebreak_rng: np.random.Generator):
     in a list between chunks.  At n <= ``_GENERATED_MAX_N`` (5) the slots run
     in the generated ``_slot_kernel(n)``, at n = 6 and 7 in
     ``_enumeration_slots``; both make the choices of ``max_weight_schedule``
-    from the same tiebreak stream."""
+    from the same tiebreak stream.
+
+    The loop records only what each slot decided, its position p and its
+    rare unused-service events; ``advance`` rebuilds the chunk's Q(t+1) rows
+    as Q(t0) + cumsum(A - S_of[p] + U) and puts the loop's own final queues
+    in the last row, so ``_reduce_chunk``'s update check covers every event
+    and the loop's end state."""
     n2 = cost.n * cost.n
     served_of = np.array(perm_table(cost.n).pidx, dtype=np.intp)
+    S_of = np.zeros((len(served_of), n2), dtype=np.int64)
+    np.put_along_axis(S_of, served_of, 1, axis=1)
     uniform = _uniforms(tiebreak_rng).__next__
     queues = [0] * n2
     if cost.n <= _GENERATED_MAX_N:
@@ -533,8 +561,15 @@ def _exact_engine(cost: CostMatrix, tiebreak_rng: np.random.Generator):
         slots = _enumeration_slots(cost, queues, uniform)
 
     def advance(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        qs, ps = slots(zip(*[iter(A.ravel().tolist())] * n2))
-        return A, np.array(qs, dtype=np.int64).reshape(-1, n2), served_of[ps]
+        q0 = np.array(queues, dtype=np.int64)
+        ps, us = slots(zip(*[iter(A.ravel().tolist())] * n2))
+        p = np.asarray(ps)  # uint8 or uint16, the buffer's own item type
+        Qn = A - S_of.take(p, axis=0)
+        Qn.reshape(-1)[np.array(us, dtype=np.intp)] += 1
+        Qn[0] += q0
+        np.cumsum(Qn, axis=0, out=Qn)
+        Qn[-1] = queues
+        return A, Qn, served_of.take(p, axis=0)
 
     return advance
 
@@ -579,7 +614,9 @@ def run(cfg: RunConfig) -> RunStats:
     entries at any n), record, reduce.  The engine of ``matcher_mode(n)``
     (``_exact_engine`` or ``_hungarian_engine``) runs the slots in order and
     does only what the next slot depends on: schedule from Q(t), add the
-    arrivals, serve, and record Q(t+1) and the served queues.
+    arrivals, serve, and record (the exact engine its decisions, from which
+    it rebuilds Q(t+1); the Hungarian engine Q(t+1) itself), and hands on
+    Q(t+1) and the served queues.
     ``_reduce_chunk`` computes unused service, the slot checks, the batch
     means, the served and unused counts and the SSC samples with numpy, for
     both engines alike, and builds each chunk's slot records for

@@ -248,34 +248,39 @@ def test_generated_slot_kernel_makes_the_argmax_kernel_choices(n):
     # slot of the generated loop must choose what break_tie(argmax_kernel)
     # chooses from the same Q(t), and draw the same uniforms: over a warm
     # trajectory from a random state, and one slot each from small random
-    # states and from empty queues, where every schedule ties.
+    # states and from empty queues, where every schedule ties.  Each slot's
+    # unused-service events must be _serve's list, and the queues the loop
+    # writes back the replayed ones.
     cost, n2 = decimal_cost(n), n * n
     rng = np.random.default_rng(60 + n)
     rows = bernoulli(0.1, n).sample_block(rng, 2_000).tolist()
     kernel = partial(simulator._slot_kernel(n), cost._flat_tuple)
     uniform, drawn = _counted_uniform(n)
-    slots = []  # (Q(t), A(t), chosen position, Q(t+1))
+    calls = []  # (Q at the start, arrival rows, positions, events, Q written back)
     q = rng.integers(0, 30, n2).tolist()
     start = q.copy()
-    qs, ps = kernel(q, uniform, rows[:1_000])
-    after = [qs[k:k + n2] for k in range(0, len(qs), n2)]
-    slots += zip([start] + after[:-1], rows[:1_000], ps, after)
+    calls.append((start, rows[:1_000], *kernel(q, uniform, rows[:1_000]), q))
     for a in rows[1_000:]:
         for q in (rng.integers(0, 3, n2).tolist(), [0] * n2):
             start = q.copy()
-            qs, ps = kernel(q, uniform, [a])
-            slots.append((start, a, ps[0], qs))
+            calls.append((start, [a], *kernel(q, uniform, [a]), q))
 
     ref_uniform, ref_drawn = _counted_uniform(n)
-    ties_of, pidx, sizes = argmax_kernel(cost), perm_table(n).pidx, set()
-    for q, a, p, q_next in slots:
-        ties = ties_of(q)
-        sizes.add(len(ties))
-        assert p == break_tie(ties, ref_uniform)
-        simulator._serve(q, a, pidx[p])
-        assert q == q_next
+    ties_of, pidx, sizes, events = argmax_kernel(cost), perm_table(n).pidx, set(), 0
+    for q, arrivals, ps, us, q_end in calls:
+        assert isinstance(ps, bytearray) and len(ps) == len(arrivals)
+        want_us = []
+        for t, (a, p) in enumerate(zip(arrivals, ps)):
+            ties = ties_of(q)
+            sizes.add(len(ties))
+            assert p == break_tie(ties, ref_uniform)
+            want_us += [t * n2 + k for k in simulator._serve(q, a, pidx[p])]
+        assert us == want_us
+        assert q == q_end
+        events += len(us)
     assert drawn == ref_drawn
     assert {1, len(pidx)} < sizes  # unique maximisers, full ties and partial ties
+    assert events > 100
 
 
 def _assert_same_stats(got, want):
@@ -393,7 +398,8 @@ def test_reduce_chunk_reads_unused_service_off_the_trajectory():
     assert not np.isnan(red.ssc[:, :2]).any() and np.isnan(red.ssc[:, 2:]).all()
 
 
-@pytest.mark.parametrize("fault", ["plus-one", "negative", "negative-and-consistent"])
+@pytest.mark.parametrize("fault", ["plus-one", "negative", "negative-and-consistent",
+                                   "unserved-entry", "served-entry-sends-two"])
 def test_reduce_chunk_detects_a_wrong_update(fault):
     A, Qn, served = _hand_chunk()
     red = _reduction()
@@ -401,12 +407,60 @@ def test_reduce_chunk_detects_a_wrong_update(fault):
         Qn[3, 0] += 1
     elif fault == "negative":
         Qn[1, 3] = -1
+    elif fault == "unserved-entry":
+        # Queue 1 is not served at the last slot and every served entry is
+        # right: only the count of nonzero differences can see it.
+        Qn[3, 1] += 1
+    elif fault == "served-entry-sends-two":
+        # Queue 0, served at the last slot, loses two packets: the count of
+        # nonzero differences is right, so only the served entries see it.
+        Qn[3, 0] -= 1
     else:
         # Q(t) + A(t) - S(t) + U(t) holds on every slot; only the sign fails.
         red = _reduction(q0=(0, -1, 0, 0))
         A, Qn, served = A[:1], np.array([[0, -1, 0, 0]]), served[:1]
     simulator._reduce_chunk(red, A, Qn, served)
     assert not red.conservation_ok
+
+
+@pytest.mark.parametrize("n", [2, 5, 6], ids=["n2-generated", "n5-generated", "n6-enumeration"])
+@pytest.mark.parametrize("fault", [None, "drop-event", "spurious-event", "bump-queue"])
+def test_run_detects_a_faulty_exact_slot_loop(monkeypatch, n, fault):
+    # The exact engine rebuilds Q(t+1) from what its loop recorded and puts
+    # the loop's own queues in a chunk's last row, so the update check must
+    # catch a lost or a spurious unused-service event and a queue the loop
+    # writes back wrong.  The fault goes into the first chunk, which starts
+    # from empty queues, so its first slots have events.
+    injected = []
+
+    def inject(q, decided):
+        ps, us = decided
+        if fault and not injected:
+            injected.append(fault)
+            if fault == "drop-event":
+                del us[0]
+            elif fault == "spurious-event":
+                us.insert(0, next(k for k in range(n * n) if k not in us))
+            else:
+                q[0] += 1
+        return ps, us
+
+    if n <= simulator._GENERATED_MAX_N:
+        kernel = simulator._slot_kernel(n)
+        monkeypatch.setattr(simulator, "_slot_kernel", lambda n: (
+            lambda c, q, uniform, rows: inject(q, kernel(c, q, uniform, rows))))
+    else:
+        enumeration = simulator._enumeration_slots
+
+        def faulty(cost, q, uniform):
+            slots = enumeration(cost, q, uniform)
+            return lambda rows: inject(q, slots(rows))
+
+        monkeypatch.setattr(simulator, "_enumeration_slots", faulty)
+    stats = run(RunConfig(c=checker(n), model=bernoulli(0.1, n), measured=600, warmup=0,
+                          ssc_stride=100, seed=5))
+    assert stats.conservation_ok is (fault is None)
+    assert injected == ([fault] if fault else [])
 
 
 def _traced_peaks(go, sizes):
@@ -555,6 +609,7 @@ def test_run_hungarian_mode_matches_dynamics():
         (checker(5), bernoulli(0.1, 5), "recorded"),
         (decimal_cost(5), bernoulli(0.1, 5), "recorded"),
         (checker(6), bernoulli(0.1, 6), "recorded"),
+        (checker(7), bernoulli(0.1, 7), "recorded"),
         (CostMatrix(np.random.default_rng(8).uniform(0.5, 2.0, (8, 8))), bernoulli(0.2, 8),
          "recorded"),
         (CostMatrix(np.random.default_rng(9).uniform(0.5, 2.0, (9, 9))),
@@ -569,7 +624,7 @@ def test_run_hungarian_mode_matches_dynamics():
     ],
     ids=["n2-exact", "n2-unit-exact", "n4-checker-exact", "n4-decimal-exact",
          "n5-checker-generated", "n5-decimal-generated", "n6-checker-enumeration",
-         "n8-hungarian",
+         "n7-checker-enumeration", "n8-hungarian",
          "n9-hungarian-poisson", "n9-hungarian-poisson-sampled",
          "n16-hungarian-poisson-sampled",
          "n3-exact-uniform-integer-sampled"],
