@@ -27,12 +27,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dgetrs, dpotrs
 
 from .scheduling import perm_table
 from .simulator import RunStats
 from .traffic import ArrivalModel, MomentVector
-from .wlinalg import CostMatrix, solve_dense
+from .wlinalg import CostMatrix, _lu_factor
+# Not called here; perfbench/spans.py traces the dense solver at this name.
+from .wlinalg import solve_dense
 
 __all__ = [
     "ZetaResult",
@@ -118,16 +120,29 @@ def _g_matrix(cost: CostMatrix) -> np.ndarray:
 def zeta_gmatrix(cost: CostMatrix) -> ZetaResult:
     """Overlap fractions via the complement-ansatz linear system.
 
-    One solve of G U = B over all pair right-hand sides gives the ansatz
+    G is factored once (``_lu_factor``, the checks of ``solve_dense``) and G
+    U = B solved one pair right-hand side at a time, which gives the ansatz
     coefficients u = U[:, i*n + j] of each pair (i, j); the unnormalized
     overlap is the coefficient combination carried by the (i, j) cell of the
     ansatz (z + x_i + y_j in the interior, x_i on the last column, y_j on the
     last row, -z in the corner), divided by c_ij to express it as an energy
     fraction.
+
+    A dgetrs call with several right-hand sides runs through the threaded
+    BLAS and stalls for milliseconds whenever its second thread is slow to
+    run (2-vCPU host: a 3x3 system with 4 right-hand sides took a median
+    5.9 ms over 200 calls in one of three processes, 0.02 ms in the others;
+    this function took 7.8 ms at n = 16).  Single right-hand sides did not
+    stall there; they take 0.03, 0.33 and 24 ms in all at n = 6, 16 and 64.
     """
     n = cost.n
     m = n - 1
-    U = solve_dense(_g_matrix(cost), _pair_indicators(n)).reshape(2 * n - 1, n, n)
+    lu, piv = _lu_factor(_g_matrix(cost))
+    B = _pair_indicators(n)
+    U = np.empty_like(B)
+    for col, b in enumerate(B.T):
+        U[:, col] = dgetrs(lu, piv, b)[0]
+    U = U.reshape(2 * n - 1, n, n)
     k = np.arange(m)
     x = U[k, k, :]  # x[i, j]: x_i of pair (i, j), i < n-1
     y = U[m + k, :, k].T  # y[i, j]: y_j of pair (i, j), j < n-1

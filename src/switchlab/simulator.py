@@ -25,9 +25,11 @@ then turns each chunk of records into unused service, per-slot checks of
 the update, batch-means statistics and cone-projection samples with array
 operations, the same code for both engines, and passes the chunk's slot
 records to ``RunConfig.record`` if set; the samples of a run fill arrays
-allocated once.  ``step`` is the single-slot reference: it updates the
-queues with ``_serve``, which also lists the unused service, so replaying a
-``run`` through ``step`` checks the recursion and the reduction slot for slot.
+allocated once, and so does every chunk: arrivals, trajectory and scratch
+are buffers of one chunk that the run reuses.  ``step`` is the single-slot
+reference: it updates the queues with ``_serve``, which also lists the
+unused service, so replaying a ``run`` through ``step`` checks the
+recursion and the reduction slot for slot.
 """
 
 from __future__ import annotations
@@ -66,6 +68,9 @@ TIEBREAK_STREAM = 1
 # effects in the analysis of simulation output", Oper. Res. 1982).
 BATCH_COUNT = 30
 # Queue entries per chunk of slots that run samples, advances and reduces.
+# A run allocates the working set of one chunk once (arrival buffers,
+# trajectory, served indices, reduction scratch; about 2.5 MB at n = 2) and
+# reuses it for every chunk, so no chunk maps fresh pages.
 _CHUNK = 65536
 # Tie-break uniforms the exact engine draws at a time; a run's first tie
 # draws a block.  A warm 30-slot n = 2 run took 2.1 ms with blocks of 65536
@@ -220,21 +225,23 @@ def _weighted_sum(c_flat: Sequence[float], q: list[int]) -> float:
     return w
 
 
-def _weighted_sums(X: np.ndarray) -> np.ndarray:
+def _weighted_sums(X: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The row sums of the (m, n^2) products X, each added in row-major
-    order from its first term, the bits of ``_weighted_sum``, in an array
-    that owns its data.  Chosen by shape, for equal bits: while the chunk
-    has at least 2 n^2 rows, the columns are added one numpy call each;
-    with fewer rows, n^2 calls on short columns cost more than one
-    ``np.add.accumulate`` along the rows (2-vCPU host, full chunks: at
-    n = 12, 455 rows, 0.27 against 0.43 us per row; at n = 32, 64 rows,
-    7.7 against 3.0)."""
+    order from its first term, the bits of ``_weighted_sum``, written into
+    ``out``, (m,), and returned.  Chosen by shape, for equal bits: while the
+    chunk has at least 2 n^2 rows, the columns are added one numpy call
+    each; with fewer rows, n^2 calls on short columns cost more than one
+    ``np.add.accumulate`` along the rows, which runs in place in X (2-vCPU
+    host, full chunks: at n = 12, 455 rows, 0.27 against 0.43 us per row;
+    at n = 32, 64 rows, 7.7 against 3.0)."""
     if len(X) < 2 * X.shape[1]:
-        return np.add.accumulate(X, axis=1)[:, -1].copy()
-    w = X[:, 0].copy()
+        np.add.accumulate(X, axis=1, out=X)
+        out[:] = X[:, -1]
+        return out
+    out[:] = X[:, 0]
     for k in range(1, X.shape[1]):
-        w += X[:, k]
-    return w
+        out += X[:, k]
+    return out
 
 
 def _indicator(idxs, n: int) -> np.ndarray:
@@ -250,16 +257,18 @@ def _wnorms(V: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.sqrt(V.reshape(k, 1, -1) @ (c * V).reshape(k, -1, 1))[:, 0, 0]
 
 
-def _project_pairs(Q: np.ndarray, Qn: np.ndarray, cost: CostMatrix, out: np.ndarray):
-    """Project the sampled rows of one chunk, Q(t) in ``Q`` and Q(t+1) in
-    ``Qn``, both (k, n^2), as one ``project_cone`` stack each, and write the
-    samples' perp norms, par norms and perp drifts, in slot order, into the
-    rows of ``out``, (3, k)."""
+def _project_pairs(traj: np.ndarray, idx: np.ndarray, cost: CostMatrix, out: np.ndarray):
+    """Project the sampled slots ``idx`` of one chunk, their Q(t) (rows
+    ``idx`` of the trajectory ``traj``, (m + 1, n^2)) and their Q(t+1) (rows
+    ``idx + 1``), as one ``project_cone`` stack, whose grids each get the
+    bits they get alone, and write the samples' perp norms, par norms and
+    perp drifts, in slot order, into the rows of ``out``, (3, k).  One stack
+    of 2k grids costs two thirds of two stacks of k (n = 2, k = 140)."""
     n = cost.n
-    before = project_cone(Q.reshape(-1, n, n), cost)
-    after = project_cone(Qn.reshape(-1, n, n), cost)
-    perp = _wnorms(before.perp, cost.c)
-    out[:] = perp, _wnorms(before.parallel, cost.c), _wnorms(after.perp, cost.c) - perp
+    k = len(idx)
+    proj = project_cone(traj[np.concatenate((idx, idx + 1))].reshape(-1, n, n), cost)
+    perp = _wnorms(proj.perp, cost.c)
+    out[:] = perp[:k], _wnorms(proj.parallel[:k], cost.c), perp[k:] - perp[:k]
 
 
 def _uniforms(rng: np.random.Generator):
@@ -280,14 +289,32 @@ def step(
     arrivals: np.ndarray | None = None,
 ) -> tuple[QueueState, SlotRecord]:
     """Advance one slot.  ``schedule``/``arrivals`` override sampling for
-    controlled tests; sampled arrivals continue ``run``'s arrival stream."""
+    controlled tests; sampled arrivals continue ``run``'s arrival stream.
+    An override must fit the state: a schedule of n ports, and arrivals of
+    shape (n, n) with nonnegative integer values, or ValueError is raised."""
     Q = state.Q
     n = Q.shape[0]
+    if schedule is not None and len(schedule.perm) != n:
+        raise ValueError(f"schedule serves {schedule.n} ports, the state has {n}")
     s = schedule if schedule is not None else max_weight_schedule(Q, cost, tiebreak_rng)
-    A = np.asarray(arrivals, dtype=np.int64) if arrivals is not None else model.sample(arrival_rng)
+    if arrivals is None:
+        A = model.sample(arrival_rng)
+        a = A.ravel().tolist()
+    else:
+        A = np.asarray(arrivals)
+        if A.shape != (n, n):
+            raise ValueError(f"arrivals must have shape {(n, n)}, got {A.shape}")
+        if A.dtype != np.int64:
+            with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison
+                A, given = A.astype(np.int64), A
+            if not np.array_equal(A, given):
+                raise ValueError("arrivals must be integers")
+        a = A.ravel().tolist()
+        if min(a) < 0:
+            raise ValueError("arrivals must be nonnegative")
     q = Q.ravel().tolist()
     idxs = [i * n + j for i, j in enumerate(s.perm)]
-    unused = _serve(q, A.ravel().tolist(), idxs)
+    unused = _serve(q, a, idxs)
     Q_next = np.array(q, dtype=np.int64).reshape(n, n)
     rec = SlotRecord(
         t=state.t,
@@ -338,17 +365,31 @@ class _BatchAcc:
 
 class _Reduction:
     """Running statistics of one replication, its perp, par and drift samples
-    (the rows of ``ssc``, written in place) and the callback that takes its
-    slot records or None, which ``_reduce_chunk`` feeds one chunk at a time."""
+    (the rows of ``ssc``, written in place), the callback that takes its
+    slot records or None, which ``_reduce_chunk`` feeds one chunk at a time,
+    and that function's scratch for chunks of up to ``rows`` slots,
+    allocated once."""
 
     def __init__(self, cost: CostMatrix, warmup: int, batch: int, ssc_stride: int,
-                 record: Callable[[SlotRecord], None] | None):
-        n2 = cost.n * cost.n
+                 record: Callable[[SlotRecord], None] | None, rows: int):
+        n = cost.n
+        n2 = n * n
         self.cost = cost
         self.warmup = warmup
         self.ssc_stride = ssc_stride
         self.t = 0  # slots reduced so far
-        self.q = np.zeros(n2, dtype=np.int64)  # Q(t) of the next slot
+        # One (rows, n^2) buffer of 8-byte items takes in turn each chunk's
+        # uniforms (``run`` draws them into ``products``), then Q(t) + A(t)
+        # and its difference to Q(t+1) (``pre``), then the weighted products;
+        # each is spent before the next is written.  Then the served
+        # entries' flat indices into ``pre`` and their values, and the
+        # weighted sums.
+        self.products = np.empty((rows, n2))
+        self.pre = self.products.view(np.int64)
+        self.row_starts = np.arange(0, rows * n2, n2)[:, None]
+        self.flat = np.empty((rows, n), dtype=np.intp)
+        self.at_served = np.empty((rows, n), dtype=np.int64)
+        self.w = np.empty(rows)
         self.w_acc = _BatchAcc(batch)
         self.u_acc = _BatchAcc(batch)
         # Measured slots per queue: served, and served while empty.
@@ -360,32 +401,36 @@ class _Reduction:
         self.record = record
 
 
-def _reduce_chunk(red: _Reduction, A: np.ndarray, Qn: np.ndarray, served: np.ndarray):
-    """Fold m recorded slots into ``red``: the arrivals ``A`` and the queues
-    after each slot ``Qn``, both (m, n^2), and the served flat indices
-    ``served``, (m, n).  Q(t) is the row of ``Qn`` before (``red.q`` for the
-    first).  Unused service is read off the trajectory, U(t) = [(Q(t) +
-    A(t))[served] == 0], and every slot is checked against Q(t+1) = Q(t) +
-    A(t) - S(t) + U(t) >= 0: Q(t) + A(t) - Q(t+1) must be one at each served
-    queue that sent a packet and zero elsewhere, which is tested at the
-    served entries and by its count of nonzeros.  The exact engine's rows are
-    rebuilt from its recorded decisions, bar the last, which is its loop's
-    own end state, so there the test checks each unused-service event and
-    that end state.  The chunk's ``SlotRecord`` goes to ``red.record``;
-    ``red`` keeps no view of the arguments."""
+def _reduce_chunk(red: _Reduction, A: np.ndarray, traj: np.ndarray, served: np.ndarray):
+    """Fold m recorded slots into ``red``: the arrivals ``A``, (m, n^2), the
+    trajectory ``traj``, (m + 1, n^2), whose row 0 is Q(t) of the first slot
+    and whose rows 1..m are the queues after each slot, so that Q(t) and
+    Q(t+1) are its rows [:-1] and [1:], and the served flat indices
+    ``served``, (m, n).  Unused service is read off the trajectory, U(t) =
+    [(Q(t) + A(t))[served] == 0], and every slot is checked against Q(t+1) =
+    Q(t) + A(t) - S(t) + U(t) >= 0: Q(t) + A(t) - Q(t+1) must be one at each
+    served queue that sent a packet and zero elsewhere, which is tested at
+    the served entries and by its count of nonzeros.  The exact engine's
+    rows are rebuilt from its recorded decisions, bar the last, which is its
+    loop's own end state, so there the test checks each unused-service event
+    and that end state.  The chunk's ``SlotRecord`` goes to ``red.record``
+    as arrays of its own; the arguments are only read, and ``red`` keeps no
+    view of them."""
     cost = red.cost
     n = cost.n
     n2 = n * n
-    m = len(Qn)
+    m = len(A)
     t0 = red.t
-    Q = np.concatenate((red.q[None], Qn[:-1]))
-    pre = Q + A
-    flat = served + np.arange(0, m * n2, n2)[:, None]  # into the (m, n^2) rows
-    s = pre.reshape(-1).take(flat)
+    Q, Qn = traj[:-1], traj[1:]
+    pre = np.add(Q, A, out=red.pre[:m])
+    flat = np.add(served, red.row_starts[:m], out=red.flat[:m])  # into the (m, n^2) rows
+    # The served indices are in range by construction, and mode "raise"
+    # would buffer the output of each take.
+    s = np.take(pre.reshape(-1), flat, out=red.at_served[:m], mode="wrap")
     u = s == 0
     sent = s > 0
     d = np.subtract(pre, Qn, out=pre)
-    if (not np.array_equal(d.reshape(-1).take(flat), sent)
+    if (not np.array_equal(np.take(d.reshape(-1), flat, out=s, mode="wrap"), sent)
             or np.count_nonzero(d) != np.count_nonzero(sent) or Qn.min() < 0):
         red.conservation_ok = False
     if u.any():
@@ -395,7 +440,7 @@ def _reduce_chunk(red: _Reduction, A: np.ndarray, Qn: np.ndarray, served: np.nda
 
     off = min(m, max(0, red.warmup - t0))  # first measured row
     lo = 0 if red.record is not None else off
-    w = _weighted_sums(cost.flat * Qn[lo:])
+    w = _weighted_sums(np.multiply(cost.flat, Qn[lo:], out=red.products[:m - lo]), red.w[:m - lo])
     if off < m:
         red.w_acc.extend(w[off - lo:])
         # Unused service per slot: a bool @ int64 matmul gives u.sum(axis=1)
@@ -408,15 +453,14 @@ def _reduce_chunk(red: _Reduction, A: np.ndarray, Qn: np.ndarray, served: np.nda
         j = -(-(t0 + off - red.warmup) // stride)  # samples of the chunks before
         idx = np.arange(red.warmup + j * stride - t0, m, stride)
         if idx.size:
-            _project_pairs(Q[idx], Qn[idx], cost, red.ssc[:, j:j + idx.size])
+            _project_pairs(traj, idx, cost, red.ssc[:, j:j + idx.size])
 
     if red.record is not None:
-        S, U = np.zeros((2, m, n2), dtype=np.int64)
+        S, U = (np.zeros((m, n, n), dtype=np.int64) for _ in range(2))
         np.put(S, flat, 1)
         np.put(U, flat, u)
-        grids = (x.reshape(m, n, n) for x in (A, S, U, Qn))
-        red.record(SlotRecord(np.arange(t0, t0 + m, dtype=np.int64), *grids, w))
-    red.q = Qn[-1].copy()
+        A, Qn = (x.reshape(m, n, n).copy() for x in (A, Qn))
+        red.record(SlotRecord(np.arange(t0, t0 + m, dtype=np.int64), A, S, U, Qn, w.copy()))
     red.t = t0 + m
 
 
@@ -536,19 +580,24 @@ def _enumeration_slots(cost: CostMatrix, q: list[int], uniform):
 
 
 def _exact_engine(cost: CostMatrix, tiebreak_rng: np.random.Generator):
-    """The recursion of the exact engine: ``advance(A)`` runs the slots of the
-    arrival rows ``A`` and returns ``A``, Q(t+1) and the served flat indices.
-    The queues are Python ints, which beat array operations on so few, kept
-    in a list between chunks.  At n <= ``_GENERATED_MAX_N`` (5) the slots run
-    in the generated ``_slot_kernel(n)``, at n = 6 and 7 in
-    ``_enumeration_slots``; both make the choices of ``max_weight_schedule``
-    from the same tiebreak stream.
+    """The recursion of the exact engine: ``advance(A, counts, traj,
+    served)`` runs the slots of the arrival rows ``A`` (int64; ``counts``
+    holds the same counts in their narrow type) from Q(t0) in row 0 of
+    ``traj`` and writes Q(t+1) into its rows 1..m and the served flat
+    indices into ``served``.  The queues are Python ints, which beat array
+    operations on so few, kept in a list between chunks.  At n <=
+    ``_GENERATED_MAX_N`` (5) the slots run in the generated
+    ``_slot_kernel(n)``, at n = 6 and 7 in ``_enumeration_slots``; both make
+    the choices of ``max_weight_schedule`` from the same tiebreak stream.
+    The loop reads counts of one byte (a_max < 256) as the bytes of
+    ``counts``, which is cheaper than listing ``A`` (291 against 310 ns per
+    n = 2 slot).
 
     The loop records only what each slot decided, its position p and its
     rare unused-service events; ``advance`` rebuilds the chunk's Q(t+1) rows
-    as Q(t0) + cumsum(A - S_of[p] + U) and puts the loop's own final queues
-    in the last row, so ``_reduce_chunk``'s update check covers every event
-    and the loop's end state."""
+    as Q(t0) + cumsum(A - S_of[p] + U), in place in ``traj``, and puts the
+    loop's own final queues in the last row, so ``_reduce_chunk``'s update
+    check covers every event and the loop's end state."""
     n2 = cost.n * cost.n
     served_of = np.array(perm_table(cost.n).pidx, dtype=np.intp)
     S_of = np.zeros((len(served_of), n2), dtype=np.int64)
@@ -560,16 +609,18 @@ def _exact_engine(cost: CostMatrix, tiebreak_rng: np.random.Generator):
     else:
         slots = _enumeration_slots(cost, queues, uniform)
 
-    def advance(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        q0 = np.array(queues, dtype=np.int64)
-        ps, us = slots(zip(*[iter(A.ravel().tolist())] * n2))
+    def advance(A: np.ndarray, counts: np.ndarray, traj: np.ndarray, served: np.ndarray):
+        feed = counts.tobytes() if counts.itemsize == 1 else A.ravel().tolist()
+        ps, us = slots(zip(*[iter(feed)] * n2))
         p = np.asarray(ps)  # uint8 or uint16, the buffer's own item type
-        Qn = A - S_of.take(p, axis=0)
+        # Positions are in range by construction; mode "raise" would buffer
+        # the output of each take.
+        Qn = np.take(S_of, p, axis=0, out=traj[1:], mode="wrap")
+        np.subtract(A, Qn, out=Qn)
         Qn.reshape(-1)[np.array(us, dtype=np.intp)] += 1
-        Qn[0] += q0
-        np.cumsum(Qn, axis=0, out=Qn)
+        np.cumsum(traj, axis=0, out=traj)
         Qn[-1] = queues
-        return A, Qn, served_of.take(p, axis=0)
+        np.take(served_of, p, axis=0, out=served, mode="wrap")
 
     return advance
 
@@ -578,27 +629,21 @@ def _hungarian_engine(cost: CostMatrix, tiebreak_rng: np.random.Generator):
     """The recursion of the Hungarian engine, as ``_exact_engine``.  Each
     chunk draws its slots' shuffles at once (``_hungarian_chunk``, the rule
     ``max_weight_schedule`` applies one slot at a time), then solves slot by
-    slot.  The queues live in a flat int64 array, kept between chunks; each
-    slot adds its arrivals into its record row and serves there in place,
-    max(q + a - 1, 0) at the served queues, so that row is Q(t+1)."""
+    slot.  Each slot adds its arrivals to Q(t) into the next row of
+    ``traj`` and serves there in place, max(q + a - 1, 0) at the served
+    queues, so that row is Q(t+1)."""
     n = cost.n
-    queues = np.zeros(n * n, dtype=np.int64)
     # Array operands, getitem and setitem: Python int operands (converted on
     # every call) and q.take/q.put cost about 2 us more of an n = 16 slot.
     one, zero = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
 
-    def advance(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        m = len(A)
-        solve = _hungarian_chunk(cost, m, tiebreak_rng)
-        qs = np.empty((m, n * n), dtype=np.int64)
-        ss = np.empty((m, n), dtype=np.intp)
-        q = queues
-        for r in range(m):
-            idxs = ss[r] = solve(r, q)
-            q = np.add(q, A[r], out=qs[r])
+    def advance(A: np.ndarray, counts: np.ndarray, traj: np.ndarray, served: np.ndarray):
+        solve = _hungarian_chunk(cost, len(A), tiebreak_rng)
+        q = traj[0]
+        for r, a in enumerate(A):
+            idxs = served[r] = solve(r, q)
+            q = np.add(q, a, out=traj[r + 1])
             q[idxs] = np.maximum(q[idxs] - one, zero)
-        queues[:] = q
-        return A, qs, ss
 
     return advance
 
@@ -610,36 +655,53 @@ def run(cfg: RunConfig) -> RunStats:
     down to a multiple of BATCH_COUNT so every batch has equal size.
 
     One loop over chunks of ``max(1, _CHUNK // n^2)`` slots: sample the
-    chunk's arrivals (one ``sample_block`` call, so about ``_CHUNK`` queue
-    entries at any n), record, reduce.  The engine of ``matcher_mode(n)``
-    (``_exact_engine`` or ``_hungarian_engine``) runs the slots in order and
-    does only what the next slot depends on: schedule from Q(t), add the
-    arrivals, serve, and record (the exact engine its decisions, from which
-    it rebuilds Q(t+1); the Hungarian engine Q(t+1) itself), and hands on
-    Q(t+1) and the served queues.
-    ``_reduce_chunk`` computes unused service, the slot checks, the batch
-    means, the served and unused counts and the SSC samples with numpy, for
-    both engines alike, and builds each chunk's slot records for
+    chunk's arrivals (one draw, so about ``_CHUNK`` queue entries at any n),
+    advance, reduce.  The engine of ``matcher_mode(n)`` (``_exact_engine``
+    or ``_hungarian_engine``) runs the slots in order and does only what the
+    next slot depends on: schedule from Q(t), add the arrivals, serve, and
+    record (the exact engine its decisions, from which it rebuilds Q(t+1);
+    the Hungarian engine Q(t+1) itself), and hands on Q(t+1) and the served
+    queues.  ``_reduce_chunk`` computes unused service, the slot checks, the
+    batch means, the served and unused counts and the SSC samples with
+    numpy, for both engines alike, and builds each chunk's slot records for
     ``cfg.record`` only when that is set.  Chunk edges change no output bit.
 
-    SSC sampling projects the sampled Q(t) rows of a chunk as one
-    ``project_cone`` stack and their Q(t+1) rows as another, so it keeps no
-    state between chunks and draws no random numbers.
+    A run allocates its chunk working set once, for ``min(rows, total)``
+    slots: the arrival buffers (uniforms, narrow counts, int64 counts) that
+    ``ArrivalModel._sample_into`` fills, a trajectory buffer of one row more
+    whose row 0 holds Q(t0) and rows 1..m the chunk's Q(t+1), so that Q(t)
+    and Q(t+1) are two views of it, the served indices and the reduction's
+    scratch, one buffer of which also takes the uniforms.  A chunk's last
+    row becomes the next chunk's row 0.
+
+    SSC sampling projects the sampled Q(t) and Q(t+1) rows of a chunk as
+    one ``project_cone`` stack, so it keeps no state between chunks and
+    draws no random numbers.
     """
     cost, model = cfg.c, cfg.model
     n = cost.n
+    n2 = n * n
     batch = cfg.measured // BATCH_COUNT
     measured = batch * BATCH_COUNT
     arrival_rng, tiebreak_rng = derive_rngs(cfg.seed, cfg.stream_key)
     mode = matcher_mode(n)
     engine = _exact_engine if mode == "exact-enumeration" else _hungarian_engine
     advance = engine(cost, tiebreak_rng)
-    rows = max(1, _CHUNK // (n * n))
     total = cfg.warmup + measured
-    red = _Reduction(cost, cfg.warmup, batch, cfg.ssc_stride, cfg.record)
+    rows = min(max(1, _CHUNK // n2), total)
+    red = _Reduction(cost, cfg.warmup, batch, cfg.ssc_stride, cfg.record, rows)
+    u = red.products  # spent once the arrivals are counted
+    counts = np.empty((rows, n2), dtype=model._count_type)
+    A = np.empty((rows, n2), dtype=np.int64)
+    traj = np.zeros((rows + 1, n2), dtype=np.int64)
+    served = np.empty((rows, n), dtype=np.intp)
 
     for t0 in range(0, total, rows):
-        _reduce_chunk(red, *advance(model.sample_block(arrival_rng, min(rows, total - t0))))
+        m = min(rows, total - t0)
+        model._sample_into(arrival_rng, u[:m], counts[:m], A[:m])
+        advance(A[:m], counts[:m], traj[:m + 1], served[:m])
+        _reduce_chunk(red, A[:m], traj[:m + 1], served[:m])
+        traj[0] = traj[m]
 
     departures = red.served - red.unused
 

@@ -161,6 +161,8 @@ class ArrivalModel:
         S, second = _law(self.kind, self.mean, self.a_max)
         S.flags.writeable = second.flags.writeable = False
         self._survival, self._second_moment = S, second
+        # The narrowest unsigned type that holds a count of at most a_max.
+        self._count_type = np.min_scalar_type(self.a_max)
 
     # -------- constructors --------
 
@@ -203,15 +205,23 @@ class ArrivalModel:
         """(count, n*n) int64 array of independent slots, by inverse transform
         (Devroye 1986, ch. II): one uniform u per queue-slot, A = #{k : u <
         P(A >= k)}.  So the arrivals depend only on how many slots have been
-        drawn, not on how they are split between calls.  The count, at most
-        a_max, is kept in the narrowest unsigned type that holds a_max and
-        widened to int64 once."""
-        S = self._survival
-        u = rng.random((count, len(S)))
-        A = np.zeros(u.shape, dtype=np.min_scalar_type(self.a_max))
-        for tail in S.T:
-            A += u < tail
-        return A.astype(np.int64)
+        drawn, not on how they are split between calls."""
+        shape = (count, self.nu.size)
+        A = np.empty(shape, dtype=np.int64)
+        self._sample_into(rng, np.empty(shape), np.empty(shape, dtype=self._count_type), A)
+        return A
+
+    def _sample_into(self, rng: np.random.Generator, u: np.ndarray, counts: np.ndarray, A: np.ndarray):
+        """``sample_block``'s draw into the caller's (count, n*n) buffers: the
+        uniforms ``u`` (float64), the counts in ``counts`` (``_count_type``)
+        and the same counts widened in ``A`` (int64).  ``simulator.run``
+        samples every chunk of a run into one set of buffers."""
+        rng.random(out=u)
+        tails = iter(self._survival.T)
+        np.less(u, next(tails), out=counts)
+        for tail in tails:
+            counts += u < tail
+        np.copyto(A, counts)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """One slot of arrivals as an (n, n) integer matrix."""

@@ -252,7 +252,18 @@ def solve_dense(A, b) -> np.ndarray:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
     if b.shape[0] != A.shape[0]:
         raise ValueError("right-hand side length does not match matrix")
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lu, piv = _lu_factor(A)
+    return dgetrs(lu, piv, b)[0]
+
+
+def _lu_factor(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The LU factors and pivots of the square float matrix ``A`` from
+    dgetrf, called as ``lu_factor`` calls it, with ``solve_dense``'s checks:
+    ValueError on non-finite entries, SingularMatrixError when a pivot
+    falls below PIVOT_RTOL * max|A|."""
+    if not np.isfinite(A).all():
         raise ValueError("array must not contain infs or NaNs")
     amax = float(np.abs(A).max())
     if amax == 0.0:
@@ -260,7 +271,7 @@ def solve_dense(A, b) -> np.ndarray:
     lu, piv, _ = dgetrf(A)
     if float(np.abs(np.diag(lu)).min()) < PIVOT_RTOL * amax:
         raise SingularMatrixError("matrix is singular to working tolerance")
-    return dgetrs(lu, piv, b)[0]
+    return lu, piv
 
 
 def project_space(x, cost: CostMatrix):

@@ -4,7 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
+from switchlab import analytics
 from switchlab.analytics import (
     ZetaResult,
     _g_matrix,
@@ -68,6 +70,29 @@ def test_zeta_routes_agree(rng):
     for n in (16, 33):
         worst = max(worst, cross_validated_zeta(random_cost(rng, n)).cross_error)
     assert worst <= 1e-9
+
+
+def test_zeta_gmatrix_solves_each_pair_alone(monkeypatch, rng):
+    # A dgetrs call with several right-hand sides goes through the threaded
+    # BLAS and can stall for milliseconds, so G is factored once and each
+    # pair's right-hand side is solved on its own, in pair order, with the
+    # bits of lu_solve on lu_factor(G).
+    solves = []
+
+    def recorded(lu, piv, b):
+        solves.append((np.array(b), dgetrs(lu, piv, b)[0]))
+        return dgetrs(lu, piv, b)
+
+    dgetrs = analytics.dgetrs
+    monkeypatch.setattr(analytics, "dgetrs", recorded)
+    for n in (2, 3, 6):
+        cost = random_cost(rng, n)
+        solves.clear()
+        zeta_gmatrix(cost)
+        B = _pair_indicators(n)
+        assert [b.tolist() for b, _ in solves] == B.T.tolist()
+        lu = lu_factor(_g_matrix(cost))
+        assert all(np.array_equal(u, lu_solve(lu, b)) for b, u in solves)
 
 
 def test_zeta_matches_gram_schmidt_oracle(rng):

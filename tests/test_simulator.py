@@ -1,12 +1,12 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
 import math
 import sys
 import tracemalloc
-import weakref
 from functools import partial
 
 import numpy as np
@@ -19,6 +19,7 @@ from switchlab.scheduling import (
 from switchlab.simulator import (
     QueueState,
     RunConfig,
+    SlotRecord,
     default_warmup,
     derive_rngs,
     drift_diagnostics,
@@ -99,6 +100,31 @@ def test_step_same_slot_arrivals_are_servable():
     assert (nxt.Q == 0).all()
 
 
+@pytest.mark.parametrize("override, match", [
+    (dict(arrivals=[[-5, 0], [0, 0]]), "nonnegative"),
+    (dict(arrivals=np.zeros((2, 3), dtype=int)), "shape"),
+    (dict(arrivals=[[0.7, 0], [0, 0]]), "integers"),
+    (dict(schedule=Schedule((0,))), "ports"),
+], ids=["negative-arrivals", "arrivals-shape", "fractional-arrivals", "schedule-size"])
+def test_step_refuses_an_override_that_does_not_fit(override, match):
+    # Each of these was once taken as is: a negative queue (the successor
+    # skips validation), arrivals read in the wrong layout, 0.7 truncated
+    # to 0, one queue served at n = 2.
+    a_rng, t_rng = derive_rngs(0)
+    with pytest.raises(ValueError, match=match):
+        step(QueueState.empty(2), bernoulli(0.5), ones_cost(), a_rng, t_rng, **override)
+
+
+def test_step_takes_integral_arrivals_of_any_numeric_type():
+    a_rng, t_rng = derive_rngs(0)
+    for arrivals in ([[1, 0], [2, 0]], np.array([[1.0, 0.0], [2.0, 0.0]]),
+                     np.array([[1, 0], [2, 0]], dtype=np.uint8)):
+        nxt, rec = step(QueueState.empty(2), bernoulli(0.5), ones_cost(), a_rng, t_rng,
+                        schedule=Schedule((0, 1)), arrivals=arrivals)
+        assert rec.A.dtype == np.int64 and rec.A.tolist() == [[1, 0], [2, 0]]
+        assert nxt.Q.tolist() == [[0, 0], [2, 0]]
+
+
 def test_step_random_slots_keep_invariants(rng):
     c = CostMatrix([[1.0, 2.0], [2.0, 1.0]])
     model = bernoulli(0.2)
@@ -167,23 +193,26 @@ def test_run_measured_trimmed_to_batches():
 
 @pytest.mark.parametrize("n", [2, 8], ids=["exact", "hungarian"])
 def test_run_releases_each_arrival_block_before_sampling_the_next(monkeypatch, n):
-    # Arrivals are sampled one chunk at a time: no call may ask for more rows
-    # than a chunk holds, and no earlier chunk may outlive its reduction.
+    # Arrivals are sampled one chunk at a time: no draw may ask for more rows
+    # than a chunk holds, and a run holds one chunk's arrivals, so every
+    # draw fills the same three buffers of one chunk's rows.  The test keeps
+    # each buffer it is handed alive, so buffers allocated per chunk could
+    # not share an address and would show as distinct arrays.
     monkeypatch.setattr(simulator, "_CHUNK", 64 * n * n)
-    sample_block = ArrivalModel.sample_block
-    blocks, counts, previous_alive = [], [], []
+    sample_into = ArrivalModel._sample_into
+    counts, buffers = [], []
 
-    def tracked(self, rng, count):
-        previous_alive.append(any(ref() is not None for ref in blocks))
-        counts.append(count)
-        blk = sample_block(self, rng, count)
-        blocks.append(weakref.ref(blk))
-        return blk
+    def tracked(self, rng, u, narrow, A):
+        counts.append(len(A))
+        buffers.append([x if x.base is None else x.base for x in (u, narrow, A)])
+        sample_into(self, rng, u, narrow, A)
 
-    monkeypatch.setattr(ArrivalModel, "sample_block", tracked)
+    monkeypatch.setattr(ArrivalModel, "_sample_into", tracked)
     run(small_cfg(c=ones_cost(n), model=bernoulli(0.3, n), measured=300, warmup=100))
-    assert counts == [64] * 6 + [16]  # _CHUNK // n^2 rows a call, then the rest
-    assert not any(previous_alive)
+    assert counts == [64] * 6 + [16]  # _CHUNK // n^2 rows a draw, then the rest
+    first = buffers[0]
+    assert [len(x) for x in first] == [64] * 3
+    assert all(all(x is y for x, y in zip(bufs, first)) for bufs in buffers)
 
 
 @pytest.mark.parametrize(
@@ -354,17 +383,17 @@ def test_tie_block_size_changes_no_output(monkeypatch, cost):
 @pytest.mark.parametrize("n", [2, 16, 32])
 def test_weighted_sums_are_the_loop_on_both_branches(n):
     # From 2 n^2 rows on _weighted_sums adds the columns one at a time; below
-    # it accumulates along each row.  Both are _weighted_sum's row-order loop
-    # bit for bit, and own their data.
+    # it accumulates along each row, in place.  Both are _weighted_sum's
+    # row-order loop bit for bit, written into the given output.
     rng = np.random.default_rng(n)
     c = rng.uniform(0.1, 10.0, n * n)
     Q = rng.integers(0, 10**6, (2 * n * n, n * n))
     want = [simulator._weighted_sum(c.tolist(), q) for q in Q.tolist()]
-    X = c * Q
-    for rows in (len(X), len(X) - 1, 1):  # columns, accumulate, accumulate
-        got = simulator._weighted_sums(X[:rows])
-        assert got.base is None
-        assert got.tolist() == want[:rows]
+    for rows in (len(Q), len(Q) - 1, 1):  # columns, accumulate, accumulate
+        out = np.full(rows + 1, np.nan)
+        got = simulator._weighted_sums(c * Q[:rows], out[:rows])
+        assert np.shares_memory(got, out)
+        assert got.tolist() == want[:rows] and np.isnan(out[rows])
 
 
 def _hand_chunk():
@@ -375,24 +404,30 @@ def _hand_chunk():
     return A, Qn, served
 
 
-def _reduction(q0=(0, 0, 0, 0)):
-    red = simulator._Reduction(ones_cost(), warmup=0, batch=2, ssc_stride=3, record=None)
-    red.q = np.array(q0, dtype=np.int64)
-    return red
+def _reduction():
+    return simulator._Reduction(ones_cost(), warmup=0, batch=2, ssc_stride=3, record=None, rows=4)
+
+
+def _trajectory(Qn, q0=(0, 0, 0, 0)):
+    """Q(t) of the first slot, then the queues after each slot."""
+    return np.concatenate(([q0], Qn))
 
 
 def test_reduce_chunk_reads_unused_service_off_the_trajectory():
     A, Qn, served = _hand_chunk()
     red = _reduction()
     red.ssc[:] = np.nan  # to tell the samples written apart
-    simulator._reduce_chunk(red, A, Qn, served)
+    traj = _trajectory(Qn)
+    given = [x.copy() for x in (A, traj, served)]
+    simulator._reduce_chunk(red, A, traj, served)
     assert red.conservation_ok
     assert red.qu_violation == 0.0
     assert red.unused.tolist() == [0, 1, 2, 1]  # empty at slots 1 (2), 2 (1, 2), 3 (3)
     assert red.served.tolist() == [2, 2, 2, 2]
     assert red.u_acc.means == [0.5, 1.5]
     assert red.w_acc.means == [0.0, 2.0]
-    assert red.t == 4 and red.q.tolist() == [1, 0, 1, 0]
+    assert red.t == 4
+    assert all(np.array_equal(x, y) for x, y in zip((A, traj, served), given))  # only read
     # Slots 0 and 3 are sampled: the first two of the 60 / 3 samples.
     assert red.ssc.shape == (3, 20)
     assert not np.isnan(red.ssc[:, :2]).any() and np.isnan(red.ssc[:, 2:]).all()
@@ -402,7 +437,7 @@ def test_reduce_chunk_reads_unused_service_off_the_trajectory():
                                    "unserved-entry", "served-entry-sends-two"])
 def test_reduce_chunk_detects_a_wrong_update(fault):
     A, Qn, served = _hand_chunk()
-    red = _reduction()
+    red, q0 = _reduction(), (0, 0, 0, 0)
     if fault == "plus-one":
         Qn[3, 0] += 1
     elif fault == "negative":
@@ -417,9 +452,9 @@ def test_reduce_chunk_detects_a_wrong_update(fault):
         Qn[3, 0] -= 1
     else:
         # Q(t) + A(t) - S(t) + U(t) holds on every slot; only the sign fails.
-        red = _reduction(q0=(0, -1, 0, 0))
+        q0 = (0, -1, 0, 0)
         A, Qn, served = A[:1], np.array([[0, -1, 0, 0]]), served[:1]
-    simulator._reduce_chunk(red, A, Qn, served)
+    simulator._reduce_chunk(red, A, _trajectory(Qn, q0), served)
     assert not red.conservation_ok
 
 
@@ -552,15 +587,27 @@ def test_recorded_memory_is_the_record_arrays(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [2, 8], ids=["exact", "hungarian"])
 def test_recorded_weighted_qsum_owns_its_data(monkeypatch, n):
-    # A view into the chunk's (m, n^2) weighted products would keep n^2
-    # times its own bytes alive in every record a caller keeps.
+    # run reuses one working set for every chunk.  Each array of a chunk's
+    # record must own its data: a view into the run's buffers would change
+    # under a caller that keeps it as later chunks are written, and a view
+    # into the (m, n^2) weighted products would keep n^2 times its own bytes
+    # alive.  Every record must still hold, after the run, what it held when
+    # it was handed over.
     monkeypatch.setattr(simulator, "_CHUNK", 64 * n * n)
-    chunks = []
+    chunks, handed = [], []
+
+    def keep(rec):
+        chunks.append(rec)
+        handed.append(copy.deepcopy(rec))
+
     run(small_cfg(c=ones_cost(n), model=bernoulli(0.2, n), measured=300, warmup=100,
-                  record=chunks.append))
+                  record=keep))
     assert len(chunks) > 1
-    for rec in chunks:
-        assert rec.weighted_qsum.base is None
+    for rec, want in zip(chunks, handed):
+        for f in dataclasses.fields(SlotRecord):
+            got = getattr(rec, f.name)
+            assert got.base is None, f.name
+            assert np.array_equal(got, getattr(want, f.name)), f.name
 
 
 @pytest.mark.parametrize("n", [2, 3])
