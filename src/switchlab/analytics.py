@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgetrs, dpotrs
@@ -72,8 +73,8 @@ class ZetaReport:
 
 def _pair_indicators(n: int) -> np.ndarray:
     """(2n-1, n^2) matrix whose column i*n + j flags input port i and, for
-    j < n-1, output port j.  The columns serve both as Gram-form loading
-    vectors and as G-system right-hand sides, one per queue pair."""
+    j < n-1, output port j: the Gram-form loading vector of queue pair
+    (i, j), and its right-hand side in the G system."""
     B = np.zeros((2 * n - 1, n, n))
     k = np.arange(n)
     B[k, k, :] = 1.0
@@ -84,12 +85,29 @@ def _pair_indicators(n: int) -> np.ndarray:
 def zeta_projection(cost: CostMatrix) -> ZetaResult:
     """Overlap fractions via the Gram system of the stacked generators that
     ``project_space`` uses: a quadratic form of each pair indicator in the
-    inverse Gram, all pairs in one solve."""
+    inverse Gram, each pair solved alone by a single-RHS dpotrs, which gives
+    the bits of one multi-RHS call without its stalls (see
+    ``zeta_gmatrix``; at n = 16 the multi-RHS call took 14-16 ms in two of
+    three processes, against 0.2 ms unstalled)."""
+    return ZetaResult(zeta=_zeta_projection(cost))
+
+
+@lru_cache(maxsize=16)
+def _zeta_projection(cost: CostMatrix) -> np.ndarray:
+    """``zeta_projection``'s values, read-only, computed once per cost object
+    (the last 16): an analytic block asks for them twice, through
+    ``cross_validated_zeta`` and ``ht_limit``, and the n^2 single-RHS solves
+    cost more than one multi-RHS call (2-vCPU host, n = 64: 66-69 ms
+    against 16-29 ms)."""
     n = cost.n
     _, (factor, lower) = cost._space_system
     B = _pair_indicators(n)
-    zeta = (B * dpotrs(factor, B, lower=lower)[0]).sum(axis=0).reshape(n, n) / cost.c
-    return ZetaResult(zeta=zeta)
+    X = np.empty_like(B)
+    for col, b in enumerate(B.T):
+        X[:, col] = dpotrs(factor, b, lower=lower)[0]
+    zeta = (B * X).sum(axis=0).reshape(n, n) / cost.c
+    zeta.flags.writeable = False
+    return zeta
 
 
 def _g_matrix(cost: CostMatrix) -> np.ndarray:
@@ -121,32 +139,36 @@ def zeta_gmatrix(cost: CostMatrix) -> ZetaResult:
     """Overlap fractions via the complement-ansatz linear system.
 
     G is factored once (``_lu_factor``, the checks of ``solve_dense``) and G
-    U = B solved one pair right-hand side at a time, which gives the ansatz
-    coefficients u = U[:, i*n + j] of each pair (i, j); the unnormalized
-    overlap is the coefficient combination carried by the (i, j) cell of the
-    ansatz (z + x_i + y_j in the interior, x_i on the last column, y_j on the
-    last row, -z in the corner), divided by c_ij to express it as an energy
-    fraction.
+    U = B solved for the ansatz coefficients u = U[:, i*n + j] of each pair
+    (i, j); the unnormalized overlap is the coefficient combination carried
+    by the (i, j) cell of the ansatz (z + x_i + y_j in the interior, x_i on
+    the last column, y_j on the last row, -z in the corner), divided by c_ij
+    to express it as an energy fraction.  The right-hand side of pair (i, j)
+    is e_i + e_(n+j), or e_i alone on the last column, so G is solved once
+    per unit vector and each pair's u is one add of two of those columns.
 
     A dgetrs call with several right-hand sides runs through the threaded
     BLAS and stalls for milliseconds whenever its second thread is slow to
     run (2-vCPU host: a 3x3 system with 4 right-hand sides took a median
-    5.9 ms over 200 calls in one of three processes, 0.02 ms in the others;
-    this function took 7.8 ms at n = 16).  Single right-hand sides did not
-    stall there; they take 0.03, 0.33 and 24 ms in all at n = 6, 16 and 64.
+    5.9 ms over 200 calls in one of three processes, 0.02 ms in the
+    others), so each unit vector is solved alone: 2n - 1 single-RHS calls.
     """
     n = cost.n
     m = n - 1
+    k = 2 * n - 1
     lu, piv = _lu_factor(_g_matrix(cost))
-    B = _pair_indicators(n)
-    U = np.empty_like(B)
-    for col, b in enumerate(B.T):
-        U[:, col] = dgetrs(lu, piv, b)[0]
-    U = U.reshape(2 * n - 1, n, n)
-    k = np.arange(m)
-    x = U[k, k, :]  # x[i, j]: x_i of pair (i, j), i < n-1
-    y = U[m + k, :, k].T  # y[i, j]: y_j of pair (i, j), j < n-1
-    z = U[2 * n - 2]
+    # X[:, e] = G^-1 e_e; its last column stays 0, the absent output term of
+    # the last column's pairs.
+    X = np.zeros((k, k + 1))
+    for e, b in enumerate(np.eye(k)):
+        X[:, e] = dgetrs(lu, piv, b)[0]
+    # Pair (i, j)'s coefficients are X[:, i] + X[:, out[j]]; only the ones
+    # the read-out uses are added.
+    out = np.append(np.arange(n, k), k)
+    r = np.arange(m)
+    x = X[r, r][:, None] + X[r][:, out]  # x[i, j]: x_i of pair (i, j), i < n-1
+    y = (X[m + r, :n] + X[m + r, out[:m]][:, None]).T  # y[i, j]: y_j of pair (i, j), j < n-1
+    z = X[k - 1, :n][:, None] + X[k - 1, out]  # z[i, j]: z of pair (i, j)
     raw = np.empty((n, n))
     raw[:m, :m] = z[:m, :m] + x[:, :m] + y[:m, :]
     raw[:m, m] = x[:, m]

@@ -497,21 +497,22 @@ def cmd_simulate(args) -> int:
         _output_dir(cfg)  # the trace may be written there
         with open(args.trace, "w") as f:
             stats = simulator.run(replace(cfg.run_config(0), record=_trace_writer(f, cfg.n)))
+    pooled = analytics.pool_runs([stats])
     doc = {
         "epsilon": eps,
         "seed": cfg.seed,
         "matcher_mode": stats.matcher_mode,
         "warmup_slots": stats.warmup_slots,
         "measured_slots": stats.measured_slots,
-        "mean_weighted_qsum": stats.mean_weighted_qsum,
-        "stderr_weighted_qsum": stats.stderr_weighted_qsum,
-        "scaled_weighted_qsum": eps * stats.mean_weighted_qsum,
-        "unused_service_rate": stats.unused_service_rate,
-        "stderr_unused_service": stats.stderr_unused_service,
-        "mean_perp_norm": float(np.mean(stats.perp_samples)),
-        "mean_perp_norm2": float(np.mean(stats.perp_samples**2)),
-        "mean_perp_norm4": float(np.mean(stats.perp_samples**4)),
-        "mean_par_norm": float(np.mean(stats.par_samples)),
+        "mean_weighted_qsum": pooled["mean_weighted_qsum"],
+        "stderr_weighted_qsum": pooled["stderr_weighted_qsum"],
+        "scaled_weighted_qsum": eps * pooled["mean_weighted_qsum"],
+        "unused_service_rate": pooled["unused_service_rate"],
+        "stderr_unused_service": pooled["stderr_unused_service"],
+        "mean_perp_norm": pooled["perp_mean"],
+        "mean_perp_norm2": pooled["perp2_mean"],
+        "mean_perp_norm4": pooled["perp4_mean"],
+        "mean_par_norm": pooled["par_mean"],
         "conservation_ok": stats.conservation_ok,
         "qu_dot_violation": stats.qu_dot_violation,
     }

@@ -3,13 +3,17 @@
 A schedule is a permutation: queue (i, perm[i]) is served at every input i.
 Each slot the scheduler picks a permutation maximizing sum_i c[i, perm[i]] *
 Q[i, perm[i]].  The solver depends on n alone (``matcher_mode``): up to
-``EXACT_MAX_N`` the argmax set is enumerated (``argmax_kernel``, which
-``simulator.run`` shares) and ties are broken uniformly at random
-(``break_tie``); above it a Hungarian solver with a randomizing pre-shuffle
-is used instead (an arbitrary maximizer, so tie breaking is only approximate
-there).  That rule has one implementation, ``_hungarian_chunk``, which draws
-the shuffles of m slots at once: ``hungarian_schedule`` runs it for one slot
-and ``simulator.run`` for a chunk of slots, from the same stream alike.
+``EXACT_MAX_N`` the argmax set is enumerated (``argmax_kernel``) and ties are
+broken uniformly at random (``break_tie``); above it a Hungarian solver with
+a randomizing pre-shuffle is used instead (an arbitrary maximizer, so tie
+breaking is only approximate there).  That rule has one implementation,
+``_hungarian_chunk``, which draws the shuffles of m slots at once:
+``hungarian_schedule`` runs it for one slot and ``simulator.run`` for a chunk
+of slots, from the same stream alike.  ``simulator.run`` has two slot loops:
+at n <= 5 a loop generated for n that makes ``break_tie(argmax_kernel)``'s
+choices bit for bit, and at every other n one array loop that takes each
+slot's schedule from ``argmax_kernel`` and ``break_tie`` (n = 6, 7) or from
+``_hungarian_chunk`` (n >= 8).
 """
 
 from __future__ import annotations
@@ -41,15 +45,15 @@ __all__ = [
 ]
 
 # Largest n served by exact enumeration, which breaks ties uniformly.  Measured
-# on a 2-vCPU host (serial `simulator.run`, unit and checker(1, 2) costs,
-# Bernoulli arrivals, eps = 0.05, 40k slots, no SSC samples, process CPU,
-# median of 3): exact enumeration reaches 107-112k slots/s at n = 5 (the
-# generated slot loop), 43-44k at n = 6 and 14-15k at n = 7, where one kernel
-# call (5040 permutations) takes 0.06-0.09 ms, and the Hungarian engine (its
-# shuffles drawn a chunk at a time) 45k at n = 8 with checker costs and 59k
-# with unit costs, where one scipy solve takes 4-6 us against 2.7-3.0 ms for
-# one exact kernel call (40320 permutations).  Speed alone would lower this
-# bound; it stays for the uniform tie breaking.
+# on a 2-vCPU host (serial `simulator.run`, Bernoulli arrivals, eps = 0.05, no
+# SSC samples, process CPU): exact enumeration reaches 124-139k slots/s at
+# n = 5 (the generated slot loop, checker(1, 2) costs, medians of 3), and in
+# the array slot loop 59k (unit costs) and 65k (checker) at n = 6 and 17-18k at
+# n = 7 (medians of 10 runs), where one kernel call (5040 permutations) takes
+# 0.06-0.09 ms; the Hungarian rule reaches 101k at n = 8 with unit costs,
+# where one scipy solve takes 4-6 us against 2.7-3.0 ms for one exact kernel
+# call (40320 permutations).  Speed alone would lower this bound; it stays
+# for the uniform tie breaking.
 EXACT_MAX_N = 7
 
 

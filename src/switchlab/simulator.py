@@ -9,33 +9,33 @@ and
 Arrivals of a slot are servable within the slot, which is exactly what makes
 <Q(t+1), U(t)> vanish identically.
 
-``run`` drives a long replication chunk by chunk.  A sequential recursion,
-one per matcher mode, does per slot only what the next slot needs: the
-schedule from Q(t), the arrivals, the service, and a record.  The Hungarian
-engine records Q(t+1) and the served queues; the exact engine records only
-each slot's permutation position and its rare unused-service events, and
-rebuilds the chunk's Q(t+1) rows from them with one cumsum, its loop's own
-end state in the last row.  At n <= 5 the whole slot loop is Python source
-generated for n (``_slot_kernel``), straight-line code over local variables
-that makes the exact kernel's choices and tie-break draws bit for bit; at
-n = 6 and 7 the schedule comes from ``scheduling``'s numpy kernel and
-``break_tie``, and above that from its shuffled Hungarian rule, which draws
-a chunk's shuffles at once (``_hungarian_chunk``).  ``_reduce_chunk``
-then turns each chunk of records into unused service, per-slot checks of
-the update, batch-means statistics and cone-projection samples with array
-operations, the same code for both engines, and passes the chunk's slot
-records to ``RunConfig.record`` if set; the samples of a run fill arrays
-allocated once, and so does every chunk: arrivals, trajectory and scratch
-are buffers of one chunk that the run reuses.  ``step`` is the single-slot
-reference: it updates the queues with ``_serve``, which also lists the
-unused service, so replaying a ``run`` through ``step`` checks the
-recursion and the reduction slot for slot.
+``run`` drives a long replication chunk by chunk through one of two slot
+loops, each doing per slot only what the next slot needs: the schedule from
+Q(t), the arrivals, the service, and a record.  Exact enumeration at n <= 5
+runs in ``_exact_engine``, Python source generated for n (``_slot_kernel``),
+straight-line code over local variables that makes the exact kernel's
+choices and tie-break draws bit for bit; it records only each slot's
+permutation position and its rare unused-service events, and rebuilds the
+chunk's Q(t+1) rows from them with one cumsum, its loop's own end state in
+the last row.  Every other n runs ``_array_engine``, which keeps the queues
+as rows of the chunk's trajectory and serves each slot there in place; only
+its per-slot solver depends on ``matcher_mode``: ``scheduling``'s numpy
+argmax kernel and ``break_tie`` at n = 6 and 7, the shuffled Hungarian rule,
+whose shuffles a chunk draws at once (``_hungarian_chunk``), above that.
+``_reduce_chunk`` then turns each chunk of records into unused service,
+per-slot checks of the update, batch-means statistics and cone-projection
+samples with array operations, the same code for both engines, and passes
+the chunk's slot records to ``RunConfig.record`` if set; the samples of a
+run fill arrays allocated once, and so does every chunk: arrivals,
+trajectory and scratch are buffers of one chunk that the run reuses.
+``step`` is the single-slot reference: it updates the queues with
+``_serve``, which also lists the unused service, so replaying a ``run``
+through ``step`` checks both loops and the reduction slot for slot.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -72,19 +72,20 @@ BATCH_COUNT = 30
 # trajectory, served indices, reduction scratch; about 2.5 MB at n = 2) and
 # reuses it for every chunk, so no chunk maps fresh pages.
 _CHUNK = 65536
-# Tie-break uniforms the exact engine draws at a time; a run's first tie
+# Tie-break uniforms exact enumeration draws at a time; a run's first tie
 # draws a block.  A warm 30-slot n = 2 run took 2.1 ms with blocks of 65536
 # and 0.7 ms with 1024, whose uniforms cost no more each (17 against 21 ns,
 # drawn and listed).
 _TIE_BLOCK = 1024
 # Samples within this relative distance of kappa count as perp norm >= kappa.
 _KAPPA_RTOL = 1e-9
-# Largest n whose exact engine runs the generated slot loop (``_slot_kernel``);
-# above it ``_enumeration_slots`` (numpy kernel, ``break_tie``, ``_serve``)
-# runs.  Loop only, warm checker(1, 2) states at eps = 0.05, 2-vCPU host,
-# process CPU: at n = 5 the generated loop takes 8-10 us/slot against 13-18
-# for the generic one; at n = 6 (720 weights) 54-55 against 31-33, and its
-# source takes 0.2 s to compile.
+# Largest n whose exact enumeration runs the generated slot loop
+# (``_exact_engine``); above it ``_array_engine`` runs.  Serial ``run``,
+# checker(1, 2) costs, Bernoulli eps = 0.05, no SSC samples, 2-vCPU host,
+# process CPU, medians of 3 in three processes: at n = 5 the generated loop
+# reaches 124-139k slots/s against 59-99k for the array engine; at n = 6 (720
+# weights; the generated loop then needs its positions in an array('H'))
+# 27-31k against 55-61k.
 _GENERATED_MAX_N = 5
 
 
@@ -553,45 +554,17 @@ def _slot_kernel(n: int):
     return namespace["slots"]
 
 
-def _enumeration_slots(cost: CostMatrix, q: list[int], uniform):
-    """The exact engine's slot loop above n = ``_GENERATED_MAX_N`` (n = 6 and
-    7): ``slots(rows)`` does what ``_slot_kernel(n)`` does, on the flat queue
-    list ``q`` in place, with ``argmax_kernel`` and ``break_tie`` choosing and
-    ``step``'s ``_serve`` updating the queues and listing the unused service.
-    The positions go to an ``array('H')``, since n! exceeds 255."""
-    n2 = cost.n * cost.n
-    pidx = perm_table(cost.n).pidx
-    ties_of = argmax_kernel(cost)
-
-    def slots(rows) -> tuple[array, list[int]]:
-        ps = array("H")
-        us: list[int] = []
-        record_p = ps.append
-        for a in rows:
-            p = break_tie(ties_of(q), uniform)
-            unused = _serve(q, a, pidx[p])
-            if unused:
-                base = len(ps) * n2
-                us.extend(base + k for k in unused)
-            record_p(p)
-        return ps, us
-
-    return slots
-
-
 def _exact_engine(cost: CostMatrix, tiebreak_rng: np.random.Generator):
-    """The recursion of the exact engine: ``advance(A, counts, traj,
-    served)`` runs the slots of the arrival rows ``A`` (int64; ``counts``
-    holds the same counts in their narrow type) from Q(t0) in row 0 of
-    ``traj`` and writes Q(t+1) into its rows 1..m and the served flat
-    indices into ``served``.  The queues are Python ints, which beat array
-    operations on so few, kept in a list between chunks.  At n <=
-    ``_GENERATED_MAX_N`` (5) the slots run in the generated
-    ``_slot_kernel(n)``, at n = 6 and 7 in ``_enumeration_slots``; both make
-    the choices of ``max_weight_schedule`` from the same tiebreak stream.
-    The loop reads counts of one byte (a_max < 256) as the bytes of
-    ``counts``, which is cheaper than listing ``A`` (291 against 310 ns per
-    n = 2 slot).
+    """The recursion of the exact engine at n <= ``_GENERATED_MAX_N``:
+    ``advance(A, counts, traj, served)`` runs the slots of the arrival rows
+    ``A`` (int64; ``counts`` holds the same counts in their narrow type) from
+    Q(t0) in row 0 of ``traj`` and writes Q(t+1) into its rows 1..m and the
+    served flat indices into ``served``.  The slots run in the generated
+    ``_slot_kernel(n)``, which makes the choices of ``max_weight_schedule``
+    from the same tiebreak stream on queues that are Python ints, which beat
+    array operations on so few, kept in a list between chunks.  The loop
+    reads counts of one byte (a_max < 256) as the bytes of ``counts``, which
+    is cheaper than listing ``A`` (291 against 310 ns per n = 2 slot).
 
     The loop records only what each slot decided, its position p and its
     rare unused-service events; ``advance`` rebuilds the chunk's Q(t+1) rows
@@ -602,17 +575,14 @@ def _exact_engine(cost: CostMatrix, tiebreak_rng: np.random.Generator):
     served_of = np.array(perm_table(cost.n).pidx, dtype=np.intp)
     S_of = np.zeros((len(served_of), n2), dtype=np.int64)
     np.put_along_axis(S_of, served_of, 1, axis=1)
-    uniform = _uniforms(tiebreak_rng).__next__
     queues = [0] * n2
-    if cost.n <= _GENERATED_MAX_N:
-        slots = partial(_slot_kernel(cost.n), cost._flat_tuple, queues, uniform)
-    else:
-        slots = _enumeration_slots(cost, queues, uniform)
+    uniform = _uniforms(tiebreak_rng).__next__
+    slots = partial(_slot_kernel(cost.n), cost._flat_tuple, queues, uniform)
 
     def advance(A: np.ndarray, counts: np.ndarray, traj: np.ndarray, served: np.ndarray):
         feed = counts.tobytes() if counts.itemsize == 1 else A.ravel().tolist()
         ps, us = slots(zip(*[iter(feed)] * n2))
-        p = np.asarray(ps)  # uint8 or uint16, the buffer's own item type
+        p = np.asarray(ps)
         # Positions are in range by construction; mode "raise" would buffer
         # the output of each take.
         Qn = np.take(S_of, p, axis=0, out=traj[1:], mode="wrap")
@@ -625,20 +595,29 @@ def _exact_engine(cost: CostMatrix, tiebreak_rng: np.random.Generator):
     return advance
 
 
-def _hungarian_engine(cost: CostMatrix, tiebreak_rng: np.random.Generator):
-    """The recursion of the Hungarian engine, as ``_exact_engine``.  Each
-    chunk draws its slots' shuffles at once (``_hungarian_chunk``, the rule
-    ``max_weight_schedule`` applies one slot at a time), then solves slot by
-    slot.  Each slot adds its arrivals to Q(t) into the next row of
-    ``traj`` and serves there in place, max(q + a - 1, 0) at the served
-    queues, so that row is Q(t+1)."""
+def _array_engine(cost: CostMatrix, tiebreak_rng: np.random.Generator, mode: str):
+    """The recursion of every n that ``_exact_engine`` does not serve, with
+    its ``advance`` signature; the queues are rows of ``traj``.  Each slot takes its served
+    flat indices from ``solve(r, q)``, adds its arrivals to Q(t) into the
+    next row and serves there in place, max(q + a - 1, 0) at the served
+    queues, so that row is Q(t+1).  At ``mode == "hungarian"`` each chunk
+    draws its slots' shuffles at once (``_hungarian_chunk``, the rule
+    ``max_weight_schedule`` applies one slot at a time); otherwise every slot
+    takes ``break_tie(argmax_kernel(cost)(q), uniform)`` from the tiebreak
+    stream, the choice of exact enumeration."""
     n = cost.n
+    if mode == "hungarian":
+        solver = partial(_hungarian_chunk, cost, rng=tiebreak_rng)
+    else:
+        served_of = np.array(perm_table(n).pidx, dtype=np.intp)
+        ties_of, uniform = argmax_kernel(cost), _uniforms(tiebreak_rng).__next__
+        solver = lambda m: lambda r, q: served_of[break_tie(ties_of(q), uniform)]
     # Array operands, getitem and setitem: Python int operands (converted on
     # every call) and q.take/q.put cost about 2 us more of an n = 16 slot.
     one, zero = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
 
     def advance(A: np.ndarray, counts: np.ndarray, traj: np.ndarray, served: np.ndarray):
-        solve = _hungarian_chunk(cost, len(A), tiebreak_rng)
+        solve = solver(len(A))
         q = traj[0]
         for r, a in enumerate(A):
             idxs = served[r] = solve(r, q)
@@ -656,14 +635,15 @@ def run(cfg: RunConfig) -> RunStats:
 
     One loop over chunks of ``max(1, _CHUNK // n^2)`` slots: sample the
     chunk's arrivals (one draw, so about ``_CHUNK`` queue entries at any n),
-    advance, reduce.  The engine of ``matcher_mode(n)`` (``_exact_engine``
-    or ``_hungarian_engine``) runs the slots in order and does only what the
-    next slot depends on: schedule from Q(t), add the arrivals, serve, and
-    record (the exact engine its decisions, from which it rebuilds Q(t+1);
-    the Hungarian engine Q(t+1) itself), and hands on Q(t+1) and the served
-    queues.  ``_reduce_chunk`` computes unused service, the slot checks, the
-    batch means, the served and unused counts and the SSC samples with
-    numpy, for both engines alike, and builds each chunk's slot records for
+    advance, reduce.  The engine (``_exact_engine`` for exact enumeration at
+    n <= ``_GENERATED_MAX_N``, else ``_array_engine`` with the solver of
+    ``matcher_mode(n)``) runs the slots in order and does only what the next
+    slot depends on: schedule from Q(t), add the arrivals, serve, and record
+    (the generated loop its decisions, from which it rebuilds Q(t+1); the
+    array engine Q(t+1) itself), and hands on Q(t+1) and the served queues.
+    ``_reduce_chunk`` computes unused service, the slot checks, the batch
+    means, the served and unused counts and the SSC samples with numpy, for
+    both engines alike, and builds each chunk's slot records for
     ``cfg.record`` only when that is set.  Chunk edges change no output bit.
 
     A run allocates its chunk working set once, for ``min(rows, total)``
@@ -685,8 +665,10 @@ def run(cfg: RunConfig) -> RunStats:
     measured = batch * BATCH_COUNT
     arrival_rng, tiebreak_rng = derive_rngs(cfg.seed, cfg.stream_key)
     mode = matcher_mode(n)
-    engine = _exact_engine if mode == "exact-enumeration" else _hungarian_engine
-    advance = engine(cost, tiebreak_rng)
+    if mode == "exact-enumeration" and n <= _GENERATED_MAX_N:
+        advance = _exact_engine(cost, tiebreak_rng)
+    else:
+        advance = _array_engine(cost, tiebreak_rng, mode)
     total = cfg.warmup + measured
     rows = min(max(1, _CHUNK // n2), total)
     red = _Reduction(cost, cfg.warmup, batch, cfg.ssc_stride, cfg.record, rows)

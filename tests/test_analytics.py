@@ -72,10 +72,10 @@ def test_zeta_routes_agree(rng):
     assert worst <= 1e-9
 
 
-def test_zeta_gmatrix_solves_each_pair_alone(monkeypatch, rng):
+def test_zeta_gmatrix_solves_each_unit_vector_alone(monkeypatch, rng):
     # A dgetrs call with several right-hand sides goes through the threaded
     # BLAS and can stall for milliseconds, so G is factored once and each
-    # pair's right-hand side is solved on its own, in pair order, with the
+    # unit vector e_0 .. e_(2n-2) is solved on its own, in order, with the
     # bits of lu_solve on lu_factor(G).
     solves = []
 
@@ -89,10 +89,35 @@ def test_zeta_gmatrix_solves_each_pair_alone(monkeypatch, rng):
         cost = random_cost(rng, n)
         solves.clear()
         zeta_gmatrix(cost)
-        B = _pair_indicators(n)
-        assert [b.tolist() for b, _ in solves] == B.T.tolist()
+        assert [b.tolist() for b, _ in solves] == np.eye(2 * n - 1).tolist()
         lu = lu_factor(_g_matrix(cost))
         assert all(np.array_equal(u, lu_solve(lu, b)) for b, u in solves)
+
+
+def test_zeta_projection_solves_each_pair_alone(monkeypatch, rng):
+    # One dpotrs call per pair right-hand side, for the same reason as the G
+    # route; each gives the bits of that column of one multi-RHS call, so
+    # the route's output keeps the bits it had with the multi-RHS call.  A
+    # second call on the same cost object solves nothing.
+    calls = []
+
+    def recorded(factor, b, lower):
+        calls.append(np.ndim(b))
+        return dpotrs(factor, b, lower=lower)
+
+    dpotrs = analytics.dpotrs
+    monkeypatch.setattr(analytics, "dpotrs", recorded)
+    for n in (2, 3, 5, 8, 16):
+        cost = random_cost(rng, n)
+        calls.clear()
+        zeta = zeta_projection(cost).zeta
+        assert calls == [1] * n * n
+        _, (factor, lower) = cost._space_system
+        B = _pair_indicators(n)
+        multi = (B * dpotrs(factor, B, lower=lower)[0]).sum(axis=0).reshape(n, n) / cost.c
+        assert np.array_equal(zeta, multi)
+        calls.clear()
+        assert np.array_equal(zeta_projection(cost).zeta, multi) and calls == []
 
 
 def test_zeta_matches_gram_schmidt_oracle(rng):

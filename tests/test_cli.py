@@ -436,7 +436,7 @@ def _report_sha256(path: Path, keys) -> str:
          "399d545c7feed7d562cb70bedfd6de73073e880997bd9f5758f7d53ff361bb69"),
         (dict(n=4, cost={"preset": "checker", "a": 1, "b": 2}, slots=1_200, warmup=200),
          "69d36855cd68da25e7812c49918c4f4c5ed629c7802471a45be7b0a61b08255d",
-         "3624e68735932d80268211cb30c5cfd92ee2710c33981bb6f60f9a727ab7120f"),
+         "6b09fbd58328d7f99a6ba4adf352203cdedc0ed16e2cec24d8cda9f7e6a019cc"),
     ],
     ids=["n2-faces", "n4-checker-nnls"],
 )

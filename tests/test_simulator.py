@@ -458,7 +458,7 @@ def test_reduce_chunk_detects_a_wrong_update(fault):
     assert not red.conservation_ok
 
 
-@pytest.mark.parametrize("n", [2, 5, 6], ids=["n2-generated", "n5-generated", "n6-enumeration"])
+@pytest.mark.parametrize("n", [2, 5], ids=["n2-generated", "n5-generated"])
 @pytest.mark.parametrize("fault", [None, "drop-event", "spurious-event", "bump-queue"])
 def test_run_detects_a_faulty_exact_slot_loop(monkeypatch, n, fault):
     # The exact engine rebuilds Q(t+1) from what its loop recorded and puts
@@ -480,22 +480,101 @@ def test_run_detects_a_faulty_exact_slot_loop(monkeypatch, n, fault):
                 q[0] += 1
         return ps, us
 
-    if n <= simulator._GENERATED_MAX_N:
-        kernel = simulator._slot_kernel(n)
-        monkeypatch.setattr(simulator, "_slot_kernel", lambda n: (
-            lambda c, q, uniform, rows: inject(q, kernel(c, q, uniform, rows))))
-    else:
-        enumeration = simulator._enumeration_slots
-
-        def faulty(cost, q, uniform):
-            slots = enumeration(cost, q, uniform)
-            return lambda rows: inject(q, slots(rows))
-
-        monkeypatch.setattr(simulator, "_enumeration_slots", faulty)
+    kernel = simulator._slot_kernel(n)
+    monkeypatch.setattr(simulator, "_slot_kernel", lambda n: (
+        lambda c, q, uniform, rows: inject(q, kernel(c, q, uniform, rows))))
     stats = run(RunConfig(c=checker(n), model=bernoulli(0.1, n), measured=600, warmup=0,
                           ssc_stride=100, seed=5))
     assert stats.conservation_ok is (fault is None)
     assert injected == ([fault] if fault else [])
+
+
+@pytest.mark.parametrize("n", [6, 8], ids=["n6", "n8"])
+@pytest.mark.parametrize("fault", [None, "served-twice", "lost-arrivals", "no-guard"])
+def test_run_detects_a_faulty_array_slot_loop(monkeypatch, n, fault):
+    # The array engine (exact enumeration at n = 6, the Hungarian rule at
+    # n = 8) serves each slot in place in the trajectory that _reduce_chunk
+    # checks.  The wrapped update runs slot by slot until the fault can
+    # happen, puts it into that slot's Q(t+1) once, and goes on from there:
+    # a served queue sends two packets, an unserved queue's arrivals are
+    # lost, or an empty served queue is served without the max(., 0) guard.
+    injected = []
+    engine = simulator._array_engine
+
+    def fault_at(q0, a, q1, idxs):
+        """Inject the fault into Q(t+1) ``q1`` if this slot allows it."""
+        if fault == "served-twice":
+            ks = [k for k in idxs if q1[k] >= 1]
+        elif fault == "lost-arrivals":
+            ks = [k for k in np.flatnonzero(a) if k not in idxs]
+        else:
+            ks = [k for k in idxs if q0[k] + a[k] == 0]
+        if ks:
+            q1[ks[0]] -= {"served-twice": 1, "lost-arrivals": a[ks[0]], "no-guard": 1}[fault]
+            injected.append(fault)
+
+    def faulty_engine(cost, tiebreak_rng, mode):
+        advance = engine(cost, tiebreak_rng, mode)
+
+        def faulty(A, counts, traj, served):
+            r = 0
+            while fault and not injected and r < len(A):
+                advance(A[r:r + 1], counts[r:r + 1], traj[r:r + 2], served[r:r + 1])
+                fault_at(traj[r], A[r], traj[r + 1], served[r])
+                r += 1
+            advance(A[r:], counts[r:], traj[r:], served[r:])
+
+        return faulty
+
+    monkeypatch.setattr(simulator, "_array_engine", faulty_engine)
+    stats = run(RunConfig(c=checker(n), model=bernoulli(0.1, n), measured=600, warmup=0,
+                          ssc_stride=100, seed=5))
+    assert stats.matcher_mode == matcher_mode(n)
+    assert stats.conservation_ok is (fault is None)
+    assert injected == ([fault] if fault else [])
+
+
+@pytest.mark.parametrize(
+    "cost, model",
+    [
+        (ones_cost(), bernoulli(0.1)),
+        (checker(3), bernoulli(0.1, 3)),
+        (decimal_cost(4), bernoulli(0.1, 4)),
+        (checker(5), ArrivalModel.uniform_integer(uniform_nu(5), 0.1, a_max=2)),
+    ],
+    ids=["n2", "n3", "n4", "n5"],
+)
+def test_array_engine_matches_the_generated_loop(monkeypatch, cost, model):
+    # Below _GENERATED_MAX_N the generated slot loop serves exact
+    # enumeration; with the limit patched below n the array engine serves
+    # it, with the argmax kernel, break_tie and the same tiebreak stream.
+    # Both must give the same run, every statistic and slot record bit for
+    # bit, over runs that break many ties (one uniform each), across chunks.
+    uniforms, drawn = simulator._uniforms, []
+
+    def counted(rng):
+        for u in uniforms(rng):
+            drawn.append(u)
+            yield u
+
+    engines, array_engine = [], simulator._array_engine
+    monkeypatch.setattr(simulator, "_array_engine",
+                        lambda *args: engines.append(args[2]) or array_engine(*args))
+    monkeypatch.setattr(simulator, "_uniforms", counted)
+    monkeypatch.setattr(simulator, "_CHUNK", 300 * cost.n**2)
+    cfg = RunConfig(c=cost, model=model, measured=1_500, warmup=250, ssc_stride=13,
+                    seed=11, stream_key=(3,))
+    want, want_rec = recorded_run(cfg)
+    want_drawn = drawn.copy()
+    drawn.clear()
+    assert engines == []
+    monkeypatch.setattr(simulator, "_GENERATED_MAX_N", cost.n - 1)
+    got, got_rec = recorded_run(cfg)
+    assert engines == ["exact-enumeration"]
+    assert len(want_drawn) > 100 and drawn == want_drawn
+    assert model.kind == "bernoulli" or want_rec.A.max() > 1
+    _assert_same_stats(got, want)
+    _assert_same_stats(got_rec, want_rec)
 
 
 def _traced_peaks(go, sizes):
