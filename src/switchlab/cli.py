@@ -386,15 +386,21 @@ def analytic_block(cfg: ExperimentConfig) -> dict:
 
 
 def _output_dir(cfg: ExperimentConfig) -> Path:
+    """The output directory, created if missing.  Each command makes it
+    before any simulation or analytics, so a path that cannot be made ends
+    the command as a config error, not after its work."""
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot create output_dir {cfg.output_dir!r}: {exc}") from exc
     return out
 
 
-def _write_report(cfg: ExperimentConfig, name: str, doc: dict, *before: Path) -> None:
+def _write_report(cfg: ExperimentConfig, out: Path, name: str, doc: dict, *before: Path) -> None:
     """Write ``doc``, with the config, its hash and the version, as JSON ``name``
-    in the output directory, and print that it and the files ``before`` were written."""
-    out = _output_dir(cfg)
+    in the output directory ``out``, and print that it and the files ``before``
+    were written."""
     doc = {"config": cfg.to_dict(), "config_hash": cfg.config_hash(), "version": __version__, **doc}
     (out / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print("wrote " + " and ".join(map(str, [*before, out / name])))
@@ -419,10 +425,11 @@ def _trace_writer(f, n: int):
 
 def cmd_zeta(args) -> int:
     cfg = load_config(args.config)
+    out = _output_dir(cfg)
     block = analytic_block(cfg)
     if args.verbose:
         print(f"zeta cross-error {block['cross_error']:.3e}, ht_limit {block['ht_limit']:.6g}")
-    _write_report(cfg, "zeta.json", block)
+    _write_report(cfg, out, "zeta.json", block)
     if block["cross_error"] > CROSS_ERROR_LIMIT:
         print(
             f"error: zeta routes disagree by {block['cross_error']:.3e} > {CROSS_ERROR_LIMIT:g}",
@@ -436,9 +443,10 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = load_config(args.config, seed=args.seed)
+    out = _output_dir(cfg)
     by_eps = run_sweep(cfg, jobs=args.jobs)
     rows = sweep_rows(cfg, by_eps)
-    csv = _output_dir(cfg) / "sweep.csv"
+    csv = out / "sweep.csv"
     write_sweep_csv(csv, rows)
     curve = analytics.ssc_curve(by_eps) if len(cfg.epsilon_grid) >= 3 else None
     doc = {
@@ -449,7 +457,7 @@ def cmd_sweep(args) -> int:
         if curve is None
         else {"par_slope": curve.par_slope, "perp_slope": curve.perp_slope},
     }
-    _write_report(cfg, "sweep.json", doc, csv)
+    _write_report(cfg, out, "sweep.json", doc, csv)
     return 0
 
 
@@ -461,6 +469,7 @@ def cmd_lower_bound(args) -> int:
             f"n={cfg.n} requires ({n_fact})! = factorial({n_fact}) priority orderings; "
             f"the enumeration is only feasible for n <= {analytics.LOWER_BOUND_MAX_N}"
         )
+    out = _output_dir(cfg)
     cost = cfg.cost_matrix()
     per_eps = {}
     for eps in cfg.epsilon_grid:
@@ -484,18 +493,22 @@ def cmd_lower_bound(args) -> int:
         "orderings_enumerated": math.factorial(math.factorial(cfg.n)),
         "by_epsilon": per_eps,
     }
-    _write_report(cfg, "lb.json", doc)
+    _write_report(cfg, out, "lb.json", doc)
     return 0
 
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config, seed=args.seed)
     eps = cfg.epsilon_grid[0]
+    out = _output_dir(cfg)  # first: the trace may be written there
     if args.trace is None:
         stats = simulator.run(cfg.run_config(0))
     else:
-        _output_dir(cfg)  # the trace may be written there
-        with open(args.trace, "w") as f:
+        try:
+            f = open(args.trace, "w")
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot open --trace {args.trace!r}: {exc}") from exc
+        with f:
             stats = simulator.run(replace(cfg.run_config(0), record=_trace_writer(f, cfg.n)))
     pooled = analytics.pool_runs([stats])
     doc = {
@@ -516,7 +529,7 @@ def cmd_simulate(args) -> int:
         "conservation_ok": stats.conservation_ok,
         "qu_dot_violation": stats.qu_dot_violation,
     }
-    _write_report(cfg, "run.json", doc)
+    _write_report(cfg, out, "run.json", doc)
     if args.trace is not None:
         print(f"wrote {args.trace}")
     return 0

@@ -25,7 +25,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .wlinalg import CostMatrix
 
@@ -220,6 +219,9 @@ def _hungarian_chunk(cost: CostMatrix, m: int, rng: np.random.Generator
     pins this).  ``gather[r]`` holds slot r's shuffled weight matrix as
     flat indices, so a slot takes c * q through it in one ``take``.
     """
+    # Imported where it is called; see wlinalg._nnls_coef.
+    from scipy.optimize import linear_sum_assignment
+
     n = cost.n
     shuffles = rng.permuted(np.broadcast_to(np.arange(n), (2 * m, n)), axis=1)
     row_start, pc = shuffles[0::2] * n, shuffles[1::2]

@@ -47,7 +47,7 @@ from .scheduling import _hungarian_chunk, max_weight_schedule
 # Not called here; perfbench/spans.py traces the Hungarian solver at this name.
 from .scheduling import hungarian_schedule
 from .traffic import ArrivalModel
-from .wlinalg import CostMatrix, project_cone
+from .wlinalg import _FACE_MAX_N, CostMatrix, project_cone
 
 __all__ = [
     "QueueState",
@@ -174,6 +174,14 @@ class RunConfig:
             raise ValueError("warmup + measured slots must be < 2**63, the range of a slot index")
         if self.ssc_stride < 1:
             raise ValueError("ssc_stride must be >= 1")
+        if self.c.n > _FACE_MAX_N:
+            # Every run projects at least one SSC sample, which above
+            # _FACE_MAX_N calls scipy's nnls (and above EXACT_MAX_N each slot
+            # its linear_sum_assignment); those functions import the module
+            # on first call.  Loading it here, where a sweep builds its runs
+            # before a pool starts, lets forked workers inherit it instead of
+            # each importing it again for every pool.
+            import scipy.optimize  # noqa: F401
 
 
 @dataclass

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .wlinalg import CostMatrix, cdot, col_generator, row_generator
 
@@ -81,6 +80,9 @@ def _trunc_poisson_mean(rate: float, a_max: int) -> float:
 
 def _calibrate_trunc_poisson(target: float, a_max: int) -> float:
     """Rate whose a_max-truncated Poisson law has the requested mean."""
+    # Imported where it is called; see wlinalg._nnls_coef.
+    from scipy.optimize import brentq
+
     if target <= 0:
         raise ValueError("target mean must be positive")
     if target >= a_max:

@@ -27,7 +27,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs, dposv, dpotrf, dpotrs
-from scipy.optimize import nnls
 
 __all__ = [
     "CostMatrix",
@@ -389,6 +388,12 @@ def _nnls_coef(g: np.ndarray, cost: CostMatrix) -> tuple[np.ndarray, int]:
     NNLS leaves errors of a few ulps in w, wt, so the accepted solve gets one
     step of iterative refinement on its face against the exact residual.
     """
+    # Imported where it is called, as linear_sum_assignment and brentq are:
+    # runs at n <= _FACE_MAX_N without truncated-Poisson arrivals call none
+    # of them and never load scipy.optimize.  simulator.RunConfig loads it
+    # for the runs that do.
+    from scipy.optimize import nnls
+
     n = cost.n
     gen, A, gram, sqrt_c, drop = cost._cone_system
     y = cost.c * g

@@ -319,6 +319,40 @@ def test_cmd_sweep_jobs_below_one_exits_before_workers(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, where",
+    [("sweep", "output_dir"), ("simulate", "output_dir"), ("simulate", "trace"),
+     ("zeta", "output_dir"), ("lower-bound", "output_dir")],
+)
+def test_unwritable_output_paths_exit_before_any_work(tmp_path, capsys, monkeypatch, command, where):
+    # An output_dir under a regular file, or a trace in a missing directory,
+    # is a config error found before any run or analytics starts.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out" if where == "output_dir" else tmp_path / "out"
+    path = write_cfg(tmp_path, base_doc(tmp_path, output_dir=str(out)))
+    calls = []
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(simulator, "run")
+    count(cli.analytics, "cross_validated_zeta")
+    count(cli.analytics, "universal_lower_bound")
+    extra = ["--jobs", "1"] if command == "sweep" else []
+    if where == "trace":
+        extra = ["--trace", str(tmp_path / "missing" / "t.csv")]
+    assert cli.main([command, "--config", path, *extra]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert calls == []
+
+
 # -------- zeta command --------
 
 def test_cmd_zeta_writes_expected_values(tmp_path, capsys):
@@ -574,7 +608,33 @@ def test_validate_suite_passes_and_detects_corruption():
     bad = validate_mod.run_suite(seed=1, matcher=broken_matcher, out=lambda *_: None)
     failed = {r.name for r in bad if not r.ok}
     assert "matcher agreement with enumeration" in failed
+    assert "tie-breaking uniformity" in failed
     assert "simulator slot invariants" in failed
+
+
+@pytest.mark.parametrize("df", [1, 3, 5, 7, 23])
+def test_chi2_survival_closed_form_matches_scipy(df):
+    from scipy.stats import chi2
+
+    for x in np.linspace(0.1, 80.0, 400):
+        assert validate_mod._chi2_sf(float(x), df) == pytest.approx(chi2.sf(x, df), rel=1e-13)
+
+
+def test_tie_uniformity_pvalue_is_scipys_chisquare(monkeypatch):
+    from scipy.stats import chisquare
+
+    seen = []
+    real = validate_mod._chisquare_pvalue
+
+    def spy(obs):
+        seen.append(obs)
+        return real(obs)
+
+    monkeypatch.setattr(validate_mod, "_chisquare_pvalue", spy)
+    ok, _ = validate_mod._check_tie_uniformity(np.random.default_rng(1),
+                                               validate_mod.scheduling.max_weight_schedule)
+    assert ok and len(seen) == 1 and sum(seen[0]) == 12_000
+    assert real(seen[0]) == pytest.approx(chisquare(seen[0]).pvalue, rel=1e-13)
 
 
 @pytest.mark.parametrize("fault", ["survival-off-by-one", "draw-above-support"])
